@@ -40,7 +40,7 @@ struct LookaheadOptions {
   /// ranks, standalone schedule) is computed concurrently on a thread pool
   /// while the serial Merge/Chop chain consumes the artifacts.  Output is
   /// byte-identical at every jobs value, counters included; jobs <= 0 means
-  /// one worker per hardware thread.  jobs == 1 is the plain serial path.
+  /// one worker per allowed CPU.  jobs == 1 is the plain serial path.
   int jobs = 1;
   /// Gates the substrate pipeline above (only meaningful with jobs > 1);
   /// off = jobs > 1 degenerates to the serial path.  Exposed so tests and

@@ -38,8 +38,8 @@ struct CompiledProgram {
 /// by the independent oracle and findings land in
 /// CompiledProgram::verification.
 ///
-/// `jobs` compiles that many traces concurrently (<= 0 = one per hardware
-/// thread).  Traces partition the CFG's blocks disjointly, so per-trace
+/// `jobs` compiles that many traces concurrently (<= 0 = one per CPU in
+/// the affinity mask, see clamp_jobs).  Traces partition the CFG's blocks disjointly, so per-trace
 /// results are independent; they are folded back in trace order, making the
 /// output — program, diagnostics, verification report — identical at every
 /// job count.

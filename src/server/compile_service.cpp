@@ -82,11 +82,10 @@ bool decode_compile_options(const Request& request, CompileOptions* options,
       ok = parse_bool(value, &options->verify);
     } else if (key == "profile") {
       ok = parse_bool(value, &options->profile);
-    } else if (key == "file" || key == "id" || key == "priority" ||
-               key == "tenant") {
-      // Handled by the server before the compile: file= loads the body,
-      // id= is echoed into the reply, priority=/tenant= drive admission
-      // (validated before enqueue) and never change the compiled output.
+    } else if (key == "id" || key == "priority" || key == "tenant") {
+      // Handled by the server around the compile: id= is echoed into the
+      // reply, priority=/tenant= drive admission (validated before
+      // enqueue) and never change the compiled output.
     } else {
       *error = "unknown COMPILE option '" + key + "'";
       return false;

@@ -23,9 +23,10 @@
 //   SHUTDOWN
 //
 // COMPILE options mirror the aisc command line (mode, machine, window,
-// rename, report, verify) plus `file=` (compile a server-side path instead
-// of the body), `profile=1` (append the request's counter deltas to the
-// reply) and `id=` (echoed back, for clients that pipeline).
+// rename, report, verify) plus `profile=1` (append the request's counter
+// deltas to the reply) and `id=` (echoed back, for clients that
+// pipeline).  The IR always travels in the body: the server never opens a
+// path a client names.
 //
 // Responses
 // ---------

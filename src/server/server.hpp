@@ -1,7 +1,6 @@
 // aisd's daemon core: unix-domain and/or TCP stream listeners accepting
 // framed compile requests from many concurrent clients, admitted through a
-// QoS-aware bounded queue with a micro-batching window onto one shared
-// ThreadPool.
+// QoS-aware bounded queue that a fixed set of worker threads pops directly.
 //
 // Threading model
 // ---------------
@@ -12,34 +11,31 @@
 //    read deadline: a peer stalled mid-frame past read_deadline_ms is
 //    disconnected, an idle connection between frames is left alone;
 //    control verbs — PING, METRICS/STATS, SHUTDOWN — are answered inline;
-//    COMPILE is enqueued),
-//  * one dispatcher thread draining the admission queue in micro-batches
-//    (up to batch_max requests or batch_window_us, whichever first; a
-//    batch closes early the moment it holds an interactive-priority
-//    request) onto the pool, never letting more than dispatch_ahead
-//    unfinished jobs past admission — the pool's own FIFO cannot reorder,
-//    so keeping its backlog shallow is what makes admission priority
-//    bind; held work is given back (front-of-level) when an interactive
-//    request arrives behind it,
-//  * pool workers compiling and writing replies (per-connection write
-//    mutex keeps frames atomic; replies may interleave across requests,
-//    matched by the id= echo).  Replies are never joined into one buffer:
-//    the worker writev()s the frame prefix, status head, assembly,
-//    diagnostics and counter trailer straight from their own storage.
+//    COMPILE is pushed onto the admission queue),
+//  * `threads` worker threads, each blocking on the admission queue,
+//    popping one request, compiling it and writing its reply itself.
+//    Nothing sits between the queue and the worker, so the admission
+//    policy picks the next request at the moment a worker is free.  A
+//    per-connection write mutex keeps frames atomic; replies may
+//    interleave across requests, matched by the id= echo.  Replies are
+//    never joined into one buffer: the worker writev()s the frame prefix,
+//    status head, assembly, diagnostics and counter trailer straight from
+//    their own storage.
 //
 // Admission (src/server/admission.hpp): COMPILE requests carry optional
 // priority= (interactive|normal|bulk) and tenant= options feeding a
 // weighted multi-level queue with per-tenant token-bucket quotas —
 // over-quota work is deferred behind in-quota work (never dropped) and
-// starvation-proofed by aging.  Back-pressure is unchanged from PR 9: a
-// full queue blocks the reader, the client's socket fills and its sends
-// stall.  Responses are byte-identical to offline aisc on both transports
-// at every concurrency level and priority mix (tests/test_server.cpp).
+// starvation-proofed by aging.  Back-pressure: a full queue blocks the
+// reader, the client's socket fills and its sends stall.  Responses are
+// byte-identical to offline aisc on both transports at every concurrency
+// level and priority mix (tests/test_server.cpp).
 //
-// Graceful shutdown (`stop()`, or the SHUTDOWN verb via `wait()`): stop
-// accepting, shut down connection read sides, drain every admitted request
-// including deferred over-quota work (replies are still written), then
-// join all threads and flush the cache's disk tier.
+// Graceful shutdown (`stop()`, or `wait()` after the SHUTDOWN verb or
+// request_shutdown()): stop accepting, shut down connection read sides,
+// drain every admitted request including deferred over-quota work
+// (replies are still written), then join all threads and flush the
+// cache's disk tier.
 #pragma once
 
 #include <cstdint>
@@ -57,22 +53,12 @@ struct ServerOptions {
   /// Server::tcp_port()); empty = no TCP listener.  At least one of
   /// socket_path / tcp_addr must be set.
   std::string tcp_addr;
-  /// Pool workers compiling requests; <= 0 = one per hardware thread.
+  /// Worker threads compiling requests; <= 0 = one per CPU this process
+  /// may run on (clamp_jobs: the sched_getaffinity mask).
   int threads = 0;
   /// Bounded admission queue (levels + deferred): readers block
   /// (back-pressure) when full.
   std::size_t queue_cap = 1024;
-  /// Micro-batch: the dispatcher forwards once it holds batch_max requests
-  /// or the oldest has waited batch_window_us, whichever comes first; an
-  /// interactive-priority arrival closes the batch immediately.
-  std::size_t batch_max = 32;
-  std::int64_t batch_window_us = 200;
-  /// Max jobs submitted to the pool but not yet picked up by a worker;
-  /// 0 = auto (2x pool size).  Small values keep ordering authority in
-  /// the admission queue (tail latency), large ones approach PR 9's
-  /// unbounded hand-off (throughput is unaffected either way: workers
-  /// always have the next batch waiting).
-  std::size_t dispatch_ahead = 0;
   /// A peer stalled mid-frame longer than this is disconnected; idle
   /// connections between frames are unaffected.  <= 0 disables.
   std::int64_t read_deadline_ms = 30'000;
@@ -94,9 +80,15 @@ class Server {
   /// failure, unresolvable TCP address).
   bool start(std::string* error);
 
-  /// Blocks until a client issues SHUTDOWN (or another thread calls
-  /// stop()), then performs the graceful stop.  The aisd main loop.
+  /// Blocks until a client issues SHUTDOWN, request_shutdown() is called
+  /// or another thread calls stop(), then performs the graceful stop (on
+  /// the calling thread).  The aisd main loop.
   void wait();
+
+  /// Wakes wait() without stopping anything itself: safe from any thread
+  /// that does not own the Server, such as a signal watcher, because the
+  /// stop and the Server's destruction both stay on wait()'s thread.
+  void request_shutdown();
 
   /// Graceful stop, idempotent: drains admitted requests, joins every
   /// thread, flushes the cache disk tier.  Must not be called from a

@@ -1,12 +1,16 @@
 // Tiny command-line flag parser for bench binaries and examples.
 //
-// Supports `--name value` and `--name=value`; unknown flags are a hard error
-// so typos in experiment scripts do not silently fall back to defaults.
+// Supports `--name value` and `--name=value`.  Every getter records the
+// name it was asked for, so after a tool has read all its flags, unread()
+// lists the ones it does not know; a tool that exits on a non-empty list
+// turns a typo or a removed flag into an error instead of a silent default.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace ais {
 
@@ -21,8 +25,15 @@ class CliArgs {
   bool get_bool(const std::string& name, bool fallback) const;
   bool has(const std::string& name) const;
 
+  /// Flags given on the command line that no getter (or has()) has asked
+  /// for yet, in name order.
+  std::vector<std::string> unread() const;
+
  private:
+  const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace ais

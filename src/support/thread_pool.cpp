@@ -1,5 +1,7 @@
 #include "support/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -77,6 +79,15 @@ void ThreadPool::worker_loop() {
 
 int clamp_jobs(int jobs) {
   if (jobs > 0) return jobs;
+  // The CPUs this process may run on (taskset, cpusets, systemd
+  // CPUAffinity), not every CPU the machine has: more workers than allowed
+  // CPUs only time-slice against each other.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int n = CPU_COUNT(&allowed);
+    if (n > 0) return n;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

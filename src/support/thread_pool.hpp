@@ -53,8 +53,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Normalizes a user-facing --jobs value: <= 0 means "one per hardware
-/// thread" (at least 1).
+/// Normalizes a user-facing --jobs value: <= 0 means "one per CPU in this
+/// process's sched_getaffinity mask", falling back to
+/// hardware_concurrency() (at least 1).
 int clamp_jobs(int jobs);
 
 /// Runs fn(0) … fn(n-1), distributing indices over up to `jobs` workers

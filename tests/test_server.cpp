@@ -3,20 +3,25 @@
 // diagnostics and non-cache counter streams) over both transports and
 // every priority mix, malformed and oversized frames turn into error
 // replies instead of crashes, the QoS admission queue defers over-quota
-// work without dropping it and ages bulk work out of starvation, read
-// deadlines cut stalled peers but spare idle connections, graceful
-// shutdown drains every admitted request, and the warm cache is shared
-// across tenant connections.
+// work without dropping it and ages bulk work out of starvation, an
+// interactive request overtakes queued bulk work when a worker picks it
+// up, COMPILE never opens a client-named file, read deadlines cut stalled
+// peers but spare idle connections, graceful shutdown drains every
+// admitted request, and the warm cache is shared across tenant
+// connections.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -363,6 +368,31 @@ TEST_F(ServerTest, MalformedRequestsGetErrorRepliesNotCrashes) {
   EXPECT_TRUE(resp.ok) << resp.message;
 }
 
+TEST_F(ServerTest, CompileNeverReadsServerSideFiles) {
+  StartServer("nofile");
+  // A readable file holding valid IR: a server that opened client-named
+  // paths would compile it and answer OK.
+  const std::string path = ::testing::TempDir() + "/aisd_nofile_" +
+                           std::to_string(::getpid()) + ".s";
+  {
+    std::ofstream out(path);
+    out << "block a:\n  LI r1, 1\n  ADD r2, r1, r1\n";
+  }
+  server::Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect(socket_path_, &error)) << error;
+  server::Request req = compile_request("");
+  req.options["file"] = path;
+  server::Response resp;
+  ASSERT_TRUE(client.call(req, &resp, &error)) << error;
+  EXPECT_FALSE(resp.ok);
+  EXPECT_NE(resp.message.find("unknown COMPILE option 'file'"),
+            std::string::npos)
+      << resp.message;
+  EXPECT_EQ(resp.message.find("LI r1"), std::string::npos) << resp.message;
+  std::remove(path.c_str());
+}
+
 TEST_F(ServerTest, OversizedFrameGetsErrorReplyThenClose) {
   StartServer("oversized", [](server::ServerOptions& options) {
     options.max_frame_bytes = 4096;
@@ -616,29 +646,6 @@ TEST(AdmissionQueue, AgingPromotesBulkPastFreshInteractive) {
   EXPECT_EQ(out, 3);
 }
 
-TEST(AdmissionQueue, RequeueFrontKeepsPlaceAndChargesNoToken) {
-  server::AdmissionOptions opts;
-  opts.quotas.push_back({"limited", 1.0});  // burst 1: one token at t0
-  server::AdmissionQueue<int> q{opts};
-  std::int64_t t = 0;
-  q.push(1, server::Priority::kBulk, "limited", t);  // takes the token
-  q.push(2, server::Priority::kBulk, "free", t);
-  int out = 0;
-  server::Priority served = server::Priority::kNormal;
-  ASSERT_TRUE(q.pop(t, &out, &served));
-  EXPECT_EQ(out, 1);
-  // The dispatcher hands 1 back (interactive work arrived downstream):
-  // it re-enters at the FRONT of its level — ahead of 2 — and pays no
-  // second quota token (its bucket is empty; a push would defer).
-  q.requeue_front(out, served, t);
-  EXPECT_EQ(q.stats().requeued, 1u);
-  q.push(3, server::Priority::kInteractive, "free", t);
-  std::vector<int> order;
-  while (q.pop(t, &out)) order.push_back(out);
-  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
-  EXPECT_EQ(q.stats().deferred, 0u);
-}
-
 TEST(AdmissionQueue, ParsersValidateWireValues) {
   server::Priority p;
   EXPECT_TRUE(server::parse_priority("interactive", &p));
@@ -738,6 +745,76 @@ TEST_F(ServerTest, OverQuotaRequestsDeferredNotDropped) {
   for (std::size_t i = 0; i < burst; ++i) {
     EXPECT_TRUE(seen[i]) << "reply for request " << i << " missing";
   }
+}
+
+// --- priority binds when a worker picks a request up ---------------------
+
+/// Connects a raw AF_UNIX stream socket to `path` — for tests that need to
+/// put several frames on the wire in one send.
+int raw_unix_connect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST_F(ServerTest, InteractiveOvertakesQueuedBulkAtPickup) {
+  StartServer("pickup", [](server::ServerOptions& options) {
+    options.threads = 1;
+  });
+  // Eight bulk requests, then one interactive, in a single send on one
+  // connection.  The lone worker is busy with (at most) the first bulk
+  // request while the reader admits the rest, so the next request it pops
+  // must be the interactive one: its reply is among the first two.  The
+  // first body is large and new to the cache (fresh seed per run, so
+  // --gtest_repeat stays cold), so its compile outlasts the reader's
+  // admission of the other eight frames even on a loaded machine.
+  static std::uint64_t run = 0;
+  const std::size_t kBulk = 8;
+  std::vector<std::string> bodies = make_bodies(kBulk + 1, 4, 12, 53);
+  bodies[0] = make_bodies(1, 16, 16, 1000 + run++)[0];
+  std::string wire;
+  for (std::size_t i = 0; i <= kBulk; ++i) {
+    server::Request req = compile_request(bodies[i]);
+    req.options["priority"] = i < kBulk ? "bulk" : "interactive";
+    req.options["id"] = std::to_string(i);
+    server::append_frame(wire, req.encode());
+  }
+  const int fd = raw_unix_connect(socket_path_);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+
+  std::vector<std::string> order;
+  std::string buffer;
+  std::string payload;
+  char chunk[65536];
+  while (order.size() <= kBulk) {
+    while (server::take_frame(buffer, 1 << 20, &payload) ==
+           server::FrameStatus::kFrame) {
+      server::Response resp;
+      std::string error;
+      ASSERT_TRUE(server::parse_response(payload, &resp, &error)) << error;
+      ASSERT_TRUE(resp.ok) << resp.message;
+      order.emplace_back(resp.option("id"));
+    }
+    if (order.size() > kBulk) break;
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0);
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_EQ(order.size(), kBulk + 1);
+  const std::string interactive = std::to_string(kBulk);
+  EXPECT_TRUE(order[0] == interactive || order[1] == interactive)
+      << "interactive reply came back at position "
+      << (std::find(order.begin(), order.end(), interactive) - order.begin());
 }
 
 // --- TCP transport robustness ---------------------------------------------

@@ -2,11 +2,14 @@
 // thread pool, arena.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -163,6 +166,18 @@ TEST(Cli, ParsesFormsAndDefaults) {
   EXPECT_FALSE(args.has("q"));
 }
 
+TEST(Cli, UnreadListsFlagsNoGetterAskedFor) {
+  const char* argv[] = {"prog", "--n", "12", "--typo=1", "--flag",
+                        "--old-knob", "3"};
+  CliArgs args(7, const_cast<char**>(argv));
+  EXPECT_EQ(args.unread(),
+            (std::vector<std::string>{"flag", "n", "old-knob", "typo"}));
+  EXPECT_EQ(args.get_int("n", 0), 12);
+  EXPECT_TRUE(args.has("flag"));
+  EXPECT_EQ(args.get_string("missing", ""), "");  // absent: nothing to list
+  EXPECT_EQ(args.unread(), (std::vector<std::string>{"old-knob", "typo"}));
+}
+
 TEST(ThreadPool, RunsEverySubmittedTask) {
   std::atomic<int> sum{0};
   {
@@ -184,6 +199,23 @@ TEST(ThreadPool, ClampJobs) {
   EXPECT_GE(clamp_jobs(-3), 1);
   EXPECT_EQ(clamp_jobs(1), 1);
   EXPECT_EQ(clamp_jobs(7), 7);
+}
+
+TEST(ThreadPool, ClampJobsCountsTheAffinityMask) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_EQ(clamp_jobs(0), CPU_COUNT(&allowed));
+  // Narrow this thread to one of its CPUs: "one per CPU" follows.
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(clamp_jobs(0), 1);
+  EXPECT_EQ(clamp_jobs(3), 3);  // an explicit count is taken as given
+  ASSERT_EQ(sched_setaffinity(0, sizeof(allowed), &allowed), 0);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

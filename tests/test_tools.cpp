@@ -1,12 +1,22 @@
 // End-to-end tests of the aisc and aislint command-line drivers: invoke the
 // real binaries on real assembly files and check their output parses,
 // preserves semantics, and reproduces the paper's Figure 3 transformation.
+// aisd is driven as a process too: flag rejection and SIGTERM shutdown.
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ir/asm_parser.hpp"
 #include "ir/interp.hpp"
@@ -17,6 +27,9 @@
 #endif
 #ifndef AISLINT_BINARY
 #error "AISLINT_BINARY must point at the aislint executable"
+#endif
+#ifndef AISD_BINARY
+#error "AISD_BINARY must point at the aisd executable"
 #endif
 #ifndef AISPROF_BINARY
 #error "AISPROF_BINARY must point at the aisprof executable"
@@ -398,6 +411,80 @@ TEST(Aislint, RejectsCorruptedCompilation) {
   std::string out;
   EXPECT_NE(run_tool(cmd, &out), 0);
   EXPECT_NE(out.find("dep-order"), std::string::npos) << out;
+}
+
+/// Starts aisd with `args` (stderr to `log_path`) and returns its pid, or
+/// -1 when the spawn failed.
+pid_t spawn_aisd(const std::vector<std::string>& args,
+                 const std::string& log_path) {
+  std::vector<char*> argv;
+  std::string binary = AISD_BINARY;
+  argv.push_back(binary.data());
+  std::vector<std::string> owned = args;
+  for (std::string& a : owned) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, 2, log_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t pid = -1;
+  const int rc = posix_spawn(&pid, AISD_BINARY, &actions, nullptr,
+                             argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  return rc == 0 ? pid : -1;
+}
+
+bool path_exists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+TEST(Aisd, RejectsUnknownFlags) {
+  const std::string sock = ::testing::TempDir() + "/aisd_flags.sock";
+  std::string err;
+  // `timeout`: an aisd that accepted the flag would serve until killed.
+  const int status = run_tool_with_stderr(
+      "timeout 10 " + std::string(AISD_BINARY) + " --socket " + sock +
+          " --batch-max 4",
+      nullptr, &err);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(err.find("unknown flag --batch-max"), std::string::npos) << err;
+  EXPECT_FALSE(path_exists(sock)) << "aisd must not start serving";
+}
+
+TEST(Aisd, SigtermShutsDownCleanly) {
+  // The signal arrives while the daemon is idle, shortly after start-up:
+  // the stop must run once, on the thread that then destroys the server.
+  for (int round = 0; round < 10; ++round) {
+    const std::string sock = ::testing::TempDir() + "/aisd_sig_" +
+                             std::to_string(::getpid()) + ".sock";
+    const std::string log = ::testing::TempDir() + "/aisd_sig.log";
+    const pid_t pid = spawn_aisd({"--socket", sock}, log);
+    ASSERT_GT(pid, 0);
+    for (int i = 0; i < 500 && !path_exists(sock); ++i) ::usleep(10'000);
+    ASSERT_TRUE(path_exists(sock)) << "aisd did not start";
+    ::usleep(100'000);
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    int status = 0;
+    pid_t reaped = 0;
+    for (int i = 0; i < 1000 && reaped == 0; ++i) {  // 10 s to drain
+      reaped = ::waitpid(pid, &status, WNOHANG);
+      if (reaped == 0) ::usleep(10'000);
+    }
+    if (reaped == 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      FAIL() << "round " << round << ": aisd hung after SIGTERM";
+    }
+    ASSERT_EQ(reaped, pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "round " << round << ": killed by signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "round " << round;
+    EXPECT_NE(slurp(log).find("clean shutdown"), std::string::npos)
+        << slurp(log);
+    EXPECT_FALSE(path_exists(sock)) << "socket path left behind";
+  }
 }
 
 }  // namespace

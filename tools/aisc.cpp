@@ -14,8 +14,8 @@
 //   --window N       lookahead window (0 = machine default)
 //   --jobs N         cfg mode: compile traces on N threads; trace mode:
 //                    pre-schedule block substrates on N pool workers while
-//                    the serial Merge/Chop chain consumes them (0 = all
-//                    hardware threads; output identical at every N)
+//                    the serial Merge/Chop chain consumes them (0 = one
+//                    per allowed CPU; output identical at every N)
 //   --rename         run local register renaming first
 //   --report         print cycle counts (before/after) to stderr
 //   --verify         re-check the emitted schedule with the independent

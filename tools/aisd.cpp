@@ -2,7 +2,8 @@
 //
 // Listens on a unix-domain socket and/or a TCP endpoint for framed compile
 // requests (see docs/SERVER.md for the protocol and the QoS model) and
-// serves them from a shared warm schedule cache through the ThreadPool:
+// serves them from a shared warm schedule cache, one worker thread per
+// allowed CPU by default:
 //
 //   aisd --socket /tmp/aisd.sock
 //   aisd --socket /tmp/aisd.sock --threads 8 --cache-dir /var/cache/aisd
@@ -16,12 +17,9 @@
 //                         at least one of --socket/--tcp is required
 //   --port-file F         write the bound TCP port to F after listen (how
 //                         scripts consume --tcp HOST:0)
-//   --threads N           pool workers (0 = one per hardware thread)
+//   --threads N           worker threads (0 = one per CPU in the process's
+//                         affinity mask)
 //   --queue-cap N         bounded admission queue depth (default 1024)
-//   --batch-max N         micro-batch size cap (default 32)
-//   --batch-window-us N   micro-batch gather window (default 200)
-//   --dispatch-ahead N    unfinished jobs allowed past admission at once
-//                         (0 = 2x workers; small = tighter QoS ordering)
 //   --read-deadline-ms N  disconnect a peer stalled mid-frame this long
 //                         (default 30000; 0 disables)
 //   --qos BOOL            priority/quota/aging admission (default true;
@@ -37,19 +35,24 @@
 //   --metrics-out F       write the metric registry on clean shutdown
 //                         (Prometheus text, or JSON when F ends in .json)
 //
-// Shut down with the SHUTDOWN verb (aisload --shutdown) or SIGINT/SIGTERM;
-// both drain every admitted request and flush the cache's disk tier.
+// An unknown flag is an error (exit 1), so a script still passing a
+// removed flag learns it at start-up.  Shut down with the SHUTDOWN verb
+// (aisload --shutdown) or SIGINT/SIGTERM; both drain every admitted request
+// and flush the cache's disk tier.
 #include <signal.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/schedule_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process_stats.hpp"
 #include "server/server.hpp"
 #include "support/cli.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -66,31 +69,37 @@ int main(int argc, char** argv) {
   server::ServerOptions options;
   options.socket_path = args.get_string("socket", "");
   options.tcp_addr = args.get_string("tcp", "");
-  if (options.socket_path.empty() && options.tcp_addr.empty()) {
-    std::fprintf(
-        stderr,
-        "usage: aisd [--socket PATH] [--tcp HOST:PORT] [--port-file F] "
-        "[--threads N] [--queue-cap N] [--batch-max N] [--batch-window-us N] "
-        "[--dispatch-ahead N] [--read-deadline-ms N] [--qos BOOL] "
-        "[--quota-default RPS] [--quotas tenant=rps,...] "
-        "[--age-promote-us N] [--defer-max-us N] [--cache BOOL] "
-        "[--cache-dir DIR] [--metrics-out FILE]\n"
-        "(at least one of --socket / --tcp)\n");
-    return 1;
-  }
   options.threads = static_cast<int>(args.get_int("threads", 0));
   options.queue_cap =
       static_cast<std::size_t>(args.get_int("queue-cap", 1024));
-  options.batch_max = static_cast<std::size_t>(args.get_int("batch-max", 32));
-  options.batch_window_us = args.get_int("batch-window-us", 200);
-  options.dispatch_ahead =
-      static_cast<std::size_t>(args.get_int("dispatch-ahead", 0));
   options.read_deadline_ms = args.get_int("read-deadline-ms", 30'000);
   options.admission.qos = args.get_bool("qos", true);
   options.admission.default_rps = args.get_double("quota-default", 0.0);
   options.admission.age_promote_us = args.get_int("age-promote-us", 100'000);
   options.admission.defer_max_us = args.get_int("defer-max-us", 1'000'000);
   const std::string quotas = args.get_string("quotas", "");
+  const bool has_cache = args.has("cache");
+  const bool cache_enabled = args.get_bool("cache", true);
+  const std::string cache_dir = args.get_string("cache-dir", "");
+  const std::string metrics_path = args.get_string("metrics-out", "");
+  const std::string port_file = args.get_string("port-file", "");
+
+  const std::vector<std::string> unknown = args.unread();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "aisd: unknown flag --%s\n", name.c_str());
+  }
+  if (!unknown.empty() ||
+      (options.socket_path.empty() && options.tcp_addr.empty())) {
+    std::fprintf(
+        stderr,
+        "usage: aisd [--socket PATH] [--tcp HOST:PORT] [--port-file F] "
+        "[--threads N] [--queue-cap N] [--read-deadline-ms N] [--qos BOOL] "
+        "[--quota-default RPS] [--quotas tenant=rps,...] "
+        "[--age-promote-us N] [--defer-max-us N] [--cache BOOL] "
+        "[--cache-dir DIR] [--metrics-out FILE]\n"
+        "(at least one of --socket / --tcp)\n");
+    return 1;
+  }
   if (!quotas.empty()) {
     std::string quota_error;
     if (!server::parse_quota_list(quotas, &options.admission.quotas,
@@ -100,17 +109,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.has("cache")) {
-    ScheduleCache::global().set_enabled(args.get_bool("cache", true));
-  }
-  const std::string cache_dir = args.get_string("cache-dir", "");
+  if (has_cache) ScheduleCache::global().set_enabled(cache_enabled);
   if (!cache_dir.empty()) ScheduleCache::global().set_disk_dir(cache_dir);
-  const std::string metrics_path = args.get_string("metrics-out", "");
-  const std::string port_file = args.get_string("port-file", "");
 
   // Graceful SIGINT/SIGTERM: block them here (inherited by every server
-  // thread), then let a watcher thread sigwait and stop the server — signal
-  // handlers cannot take the locks a graceful stop needs.
+  // thread), then let a watcher thread sigwait and ask for shutdown.  The
+  // stop itself runs on this thread inside wait(), which is also the thread
+  // that destroys the Server — signal handlers cannot take the locks a
+  // graceful stop needs, and a watcher that stopped the server itself would
+  // race its destruction.
   sigset_t sigs;
   sigemptyset(&sigs);
   sigaddset(&sigs, SIGINT);
@@ -123,10 +130,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aisd: %s\n", error.c_str());
     return 1;
   }
-  const int workers =
-      options.threads > 0
-          ? options.threads
-          : static_cast<int>(std::thread::hardware_concurrency());
+  const int workers = clamp_jobs(options.threads);
   if (!options.socket_path.empty()) {
     std::fprintf(stderr, "aisd: listening on %s (%d workers)\n",
                  options.socket_path.c_str(), workers);
@@ -146,12 +150,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::thread([&server, sigs] {
+  std::thread watcher([&server, sigs] {
     int sig = 0;
-    if (sigwait(&sigs, &sig) == 0) server.stop();
-  }).detach();  // never fires on the SHUTDOWN-verb path; gone at exit
+    if (sigwait(&sigs, &sig) == 0) server.request_shutdown();
+  });
 
   server.wait();
+  // On the SHUTDOWN-verb path the watcher is still in sigwait: hand it a
+  // signal of its own so it wakes (a harmless extra request_shutdown) and
+  // can be joined before the Server goes away.
+  pthread_kill(watcher.native_handle(), SIGTERM);
+  watcher.join();
 
   if (!metrics_path.empty()) {
     obs::record_process_gauges();

@@ -38,8 +38,8 @@
 //                      delta vs the advisory order (0 = off; see
 //                      LookaheadOptions::fill_cap and ROADMAP window-span)
 //   --seed S           PRNG seed for the survey (default 42)
-//   --jobs N           compile traces on N threads (0 = all hardware
-//                      threads; results are identical at every N)
+//   --jobs N           compile traces on N threads (0 = one per allowed
+//                      CPU; results are identical at every N)
 //   --cache BOOL       enable/disable the in-memory schedule cache (default
 //                      on; see docs/CACHING.md).  Note --repeat with the
 //                      cache on measures warm-hit compiles after the first.
