@@ -32,11 +32,8 @@ std::uint32_t dense_index(const CacheKey& key, NodeId id) {
 /// block — topological order, descendant closure, initial ranks and the
 /// standalone greedy schedule — is warmed on thread-pool workers while the
 /// serial Merge/Chop chain drains blocks in trace order and consumes the
-/// artifacts through MergeSeed.  The substrate work runs through
-/// run_silent(), so no counter delta ever originates on a worker thread:
-/// every bump the serial path reports is issued (or re-issued) on the
-/// compiling thread, inside its CounterRecorder, keeping cache-on/off and
-/// jobs-1/jobs-N counter streams identical.  Workers are submitted in trace
+/// artifacts through MergeSeed.  Each worker's rank run counts on the
+/// worker's thread, like any other work.  Workers are submitted in trace
 /// order, so by the time the consumer needs block i the pool has usually
 /// finished it and is ahead warming later blocks.
 class BlockPrescheduler {
@@ -64,7 +61,7 @@ class BlockPrescheduler {
         // hand-off into subs_ is a critical section.
         auto session =
             std::make_unique<RankSession>(scheduler_, blocks_[i]);
-        std::optional<RankResult> standalone = session->run_silent(
+        std::optional<RankResult> standalone = session->run(
             uniform_deadlines(scheduler_.graph(), huge_), rank_opts_);
         {
           MutexLock lock(mu_);
@@ -103,151 +100,6 @@ class BlockPrescheduler {
   ThreadPool pool_;  // last member: joins before the state above dies
 };
 
-/// Places `list`'s nodes in exactly that order: each node starts at the
-/// earliest dependence- and resource-legal cycle whose (start, unit) pair
-/// lexicographically follows its list predecessor's, so the resulting
-/// schedule's permutation() *is* `list`.  Unlike greedy_from_list — which
-/// re-derives the order from start times, letting stalled nodes slip past
-/// lower-priority ones — the planning order is pinned here, which is what
-/// the fill-depth cap needs: a bound on the order, not on start times.
-Schedule place_in_list_order(const RankScheduler& scheduler,
-                             const NodeSet& active,
-                             const std::vector<NodeId>& list) {
-  const DepGraph& g = scheduler.graph();
-  const MachineModel& machine = scheduler.machine();
-
-  // Global unit indexing is class-major, matching validate_schedule.
-  std::vector<int> unit_base(
-      static_cast<std::size_t>(machine.num_fu_classes()), 0);
-  int total_units = 0;
-  for (int c = 0; c < machine.num_fu_classes(); ++c) {
-    unit_base[static_cast<std::size_t>(c)] = total_units;
-    total_units += machine.fu_count(c);
-  }
-
-  Schedule sched(&g, active, total_units);
-  std::vector<Time> unit_free(static_cast<std::size_t>(total_units), 0);
-  Time t_prev = 0;
-  int u_prev = -1;
-  int issued_this_cycle = 0;  // issue-width use at cycle t_prev
-  const Time t_limit = g.total_work() +
-                       static_cast<Time>(list.size() + 1) *
-                           (g.max_latency() + 1) +
-                       1;
-
-  for (const NodeId id : list) {
-    const NodeInfo& info = g.node(id);
-    Time est = 0;
-    for (const auto eidx : g.in_edges(id)) {
-      const DepEdge& e = g.edge(eidx);
-      if (e.distance == 0 && active.contains(e.from)) {
-        AIS_CHECK(sched.placed(e.from),
-                  "in-order placement list is not dependence consistent");
-        est = std::max(est, sched.completion(e.from) + e.latency);
-      }
-    }
-
-    Time t = std::max(est, t_prev);
-    int unit = -1;
-    const int base = unit_base[static_cast<std::size_t>(info.fu_class)];
-    while (unit < 0) {
-      AIS_CHECK(t <= t_limit, "in-order placement failed to make progress");
-      const int width_used = (t == t_prev) ? issued_this_cycle : 0;
-      if (width_used < machine.issue_width()) {
-        for (int k = 0; k < machine.fu_count(info.fu_class); ++k) {
-          const int u = base + k;
-          // Same-cycle placements must advance the unit index, or the
-          // permutation's (start, unit) sort would swap the pair.
-          if (t == t_prev && u <= u_prev) continue;
-          if (unit_free[static_cast<std::size_t>(u)] <= t) {
-            unit = u;
-            break;
-          }
-        }
-      }
-      if (unit < 0) ++t;
-    }
-
-    sched.place(id, t, unit);
-    issued_this_cycle = (t == t_prev) ? issued_this_cycle + 1 : 1;
-    unit_free[static_cast<std::size_t>(unit)] = t + info.exec_time;
-    t_prev = t;
-    u_prev = unit;
-  }
-  return sched;
-}
-
-/// Enforces opts.fill_cap on one merged planning order: afterwards at most
-/// `cap` old-suffix instructions follow any new-block instruction, i.e. the
-/// incoming block only fills idle slots among the last `cap` retained old
-/// instructions.  New nodes packed deeper are relocated — keeping their
-/// relative order, and the old nodes' — to just past the cap boundary, and
-/// the schedule is rebuilt by order-pinned placement so the bound holds in
-/// the final permutation; `deadlines` are raised to the rebuilt completions
-/// so downstream passes (chop, the next merge's caps) stay consistent.
-/// New nodes with a distance-0 path to a retained old node are pinned in
-/// place — relocating them past their old successors would be illegal, so
-/// the bound is dependence-limited for them.  A no-op when the suffix
-/// already fits the cap, so fill_cap >= |old| behaves exactly like
-/// uncapped.
-Schedule cap_fill_depth(const RankScheduler& scheduler, Schedule merged,
-                        const NodeSet& old_nodes, int cap,
-                        DeadlineMap& deadlines) {
-  const DepGraph& g = scheduler.graph();
-  const std::vector<NodeId> perm = merged.permutation();
-  std::size_t old_count = 0;
-  for (const NodeId id : perm) {
-    if (old_nodes.contains(id)) ++old_count;
-  }
-  if (old_count <= static_cast<std::size_t>(cap)) return merged;
-  const std::size_t prefix_olds = old_count - static_cast<std::size_t>(cap);
-
-  // Distance-0 reachability to an old node (perm is dependence consistent,
-  // so one reverse sweep settles the transitive closure).
-  std::vector<char> reaches_old(g.num_nodes(), 0);
-  for (auto it = perm.rbegin(); it != perm.rend(); ++it) {
-    const NodeId id = *it;
-    if (old_nodes.contains(id)) {
-      reaches_old[id] = 1;
-      continue;
-    }
-    for (const auto eidx : g.out_edges(id)) {
-      const DepEdge& e = g.edge(eidx);
-      if (e.distance == 0 && merged.active().contains(e.to) &&
-          reaches_old[e.to] != 0) {
-        reaches_old[id] = 1;
-        break;
-      }
-    }
-  }
-
-  std::vector<NodeId> legalized;
-  legalized.reserve(perm.size());
-  std::vector<NodeId> relocated;
-  std::size_t olds_seen = 0;
-  for (const NodeId id : perm) {
-    if (olds_seen < prefix_olds) {
-      if (reaches_old[id] != 0) {
-        legalized.push_back(id);
-        if (old_nodes.contains(id) && ++olds_seen == prefix_olds) {
-          legalized.insert(legalized.end(), relocated.begin(),
-                           relocated.end());
-        }
-      } else {
-        relocated.push_back(id);
-      }
-    } else {
-      legalized.push_back(id);
-    }
-  }
-
-  Schedule rebuilt = place_in_list_order(scheduler, merged.active(), legalized);
-  for (const NodeId id : legalized) {
-    deadlines[id] = std::max(deadlines[id], rebuilt.completion(id));
-  }
-  return rebuilt;
-}
-
 }  // namespace
 
 std::vector<NodeId> LookaheadResult::priority_list() const {
@@ -285,9 +137,9 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
   // The schedule cache memoizes this function at two granularities: the
   // whole trace and single Lookahead iterations (so repeated bodies hit even
   // inside one cold trace).  Hits are byte-identical to a fresh solve —
-  // keys only match monotone relabelings of the same instance, and the
-  // recorded counter deltas are replayed — so everything below the probes
-  // is the unchanged algorithm.
+  // keys only match monotone relabelings of the same instance — so
+  // everything below the probes is the unchanged algorithm.  A hit counts
+  // as cache.hits only: the solver's counters count solves that ran.
   ScheduleCache* cache = ScheduleCache::active();
   CacheInstanceParams params;
   params.machine = &scheduler.machine();
@@ -298,7 +150,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
   params.do_chop = opts.do_chop;
   params.split_long_ops = opts.rank.split_long_ops;
   params.tie_break = &opts.rank.tie_break;
-  params.fill_cap = opts.fill_cap;
   // opts.jobs / opts.preschedule are deliberately absent from the key: the
   // substrate pipeline never changes the answer, so cache entries are
   // shared across every --jobs value.
@@ -315,14 +166,11 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
       }
       out.diag.merged_makespans = std::move(hit->merged_makespans);
       out.diag.prefixes_emitted = hit->prefixes_emitted;
-      obs::CounterRecorder::replay(hit->counter_deltas);
-      obs::CounterRecorder::replay_values(hit->value_samples);
       solved_from_cache = true;
     }
   }
 
   if (!solved_from_cache) {
-    obs::CounterRecorder trace_rec(cache != nullptr);
     AIS_OBS_COUNT(obs::ctr::kLookaheadBlocks, blocks.size());
 
     // Cold path: fan the per-block substrate work out over a pool while the
@@ -370,14 +218,11 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
           old = std::move(suffix);
           t_old = hit->suffix_makespan;
           out.diag.merged_makespans.push_back(hit->merged_makespan);
-          obs::CounterRecorder::replay(hit->counter_deltas);
-          obs::CounterRecorder::replay_values(hit->value_samples);
           step_hit = true;
         }
       }
       if (step_hit) continue;
 
-      obs::CounterRecorder step_rec(cache != nullptr);
       const std::size_t emitted_before = out.order.size();
 
       Schedule merged(&g, NodeSet(g.num_nodes()), 1);
@@ -392,8 +237,7 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
           seed_ptr = &seed;
         }
         // Graft latency: how long the serial chain spends consuming one
-        // prescheduled substrate.  A wall-clock ("time.") histogram, so it
-        // never enters the step recorder or a cache value.
+        // prescheduled substrate.
         const std::int64_t graft_start_us =
             seed_ptr != nullptr && obs::enabled() ? Stopwatch::now_us() : -1;
         MergeResult m = merge_blocks(scheduler, old, new_nodes, deadlines,
@@ -421,19 +265,12 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
         merged = delay_idle_slots(scheduler, std::move(merged), deadlines,
                                   opts.rank);
       }
-      if (opts.fill_cap > 0 && !old.empty()) {
-        merged = cap_fill_depth(scheduler, std::move(merged), old,
-                                opts.fill_cap, deadlines);
-      }
       out.diag.merged_makespans.push_back(merged.makespan());
 
       if (opts.do_chop) {
         ChopResult c = chop(merged, deadlines, opts.window);
         out.order.insert(out.order.end(), c.emitted.begin(), c.emitted.end());
         if (!c.emitted.empty()) ++out.diag.prefixes_emitted;
-        // Deterministic shape distribution (no "time." prefix): recorded
-        // into the step value below and replayed on hits, so cached and
-        // fresh runs report identical prefix-length histograms.
         AIS_OBS_VALUE(obs::hist::kChopPrefixLen, c.emitted.size());
         old = std::move(c.suffix);
         t_old = c.suffix_makespan;
@@ -463,8 +300,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
         }
         value.suffix_makespan = t_old;
         value.merged_makespan = out.diag.merged_makespans.back();
-        value.counter_deltas = step_rec.deltas();
-        value.value_samples = step_rec.value_samples();
         cache->insert_step(step_key, value);
       }
     }
@@ -481,8 +316,6 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
       }
       value.merged_makespans = out.diag.merged_makespans;
       value.prefixes_emitted = out.diag.prefixes_emitted;
-      value.counter_deltas = trace_rec.deltas();
-      value.value_samples = trace_rec.value_samples();
       cache->insert_trace(trace_key, value);
     }
   }
@@ -496,8 +329,7 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
   // Quantify the ROADMAP `window-span` open item: how often does the
   // planning order promise overlap deeper than the hardware window?  Only
   // measured under telemetry — the linear scan is off the disabled path.
-  // Runs outside the cache's counter recording on hit and miss paths alike,
-  // so cached entries never need to carry it.
+  // Runs on hit and miss paths alike, so cached entries never carry it.
 #if AIS_OBS_ENABLED
   if (obs::enabled()) {
     out.diag.max_inversion_span = max_inversion_span(g, out.order).span;

@@ -83,12 +83,10 @@ MergeResult merge_blocks(const RankScheduler& scheduler,
   RankSession& session = adopt_donor ? *seed->session : *local_session;
 
   // Lower-bound pass: one huge uniform deadline.  An adopted donor already
-  // ran exactly this pass (silently, possibly on a pool worker); re-issue
-  // its counter bumps on this thread and reuse the result.
+  // ran exactly this pass (possibly on a pool worker); reuse the result.
   DeadlineMap d_cur = uniform_deadlines(g, huge);
   const RankResult lower =
       adopt_donor ? std::move(*seed->standalone) : session.run(d_cur, opts);
-  if (adopt_donor) session.count_run_telemetry(lower);
   AIS_CHECK(lower.feasible, "unconstrained merge schedule must be feasible");
   const Time t_lower = lower.makespan;
 

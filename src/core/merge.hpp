@@ -38,7 +38,7 @@ struct MergeResult {
 /// Pre-scheduled substrate for the incoming block, produced ahead of time by
 /// the lookahead prescheduler (possibly on a thread-pool worker): a
 /// standalone RankSession over exactly the new nodes whose ranks were warmed
-/// by run_silent under the uniform deadline `huge`, plus that run's result.
+/// by run() under the uniform deadline `huge`, plus that run's result.
 /// merge_blocks consumes it only when it can prove byte-identity with the
 /// unseeded path: `huge` must match merge's own lower-pass deadline and no
 /// distance-0 edge may run from a new node into `old_nodes` (otherwise the
@@ -46,7 +46,7 @@ struct MergeResult {
 /// session is mutated on consumption; a seed is good for one merge.
 struct MergeSeed {
   RankSession* session = nullptr;
-  /// run_silent result of `session` under uniform `huge` deadlines with the
+  /// run() result of `session` under uniform `huge` deadlines with the
   /// same RankOptions the merge will use; moved from on adoption.
   RankResult* standalone = nullptr;
   Time huge = 0;
@@ -56,7 +56,7 @@ struct MergeSeed {
 /// alone in `t_old` cycles) with `new_nodes`.  `deadlines` entries of new
 /// nodes are ignored on input.  `huge` is the artificial deadline D.
 /// `seed`, when usable (see MergeSeed), only changes how the answer is
-/// computed — never the answer or its counter deltas.
+/// computed — never the answer.
 MergeResult merge_blocks(const RankScheduler& scheduler,
                          const NodeSet& old_nodes, const NodeSet& new_nodes,
                          const DeadlineMap& deadlines, Time t_old, Time huge,

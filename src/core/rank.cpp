@@ -453,27 +453,8 @@ void RankSession::seed_full_pass(const RankSession& donor) {
 RankResult RankSession::run(const DeadlineMap& deadlines,
                             const RankOptions& opts) {
   AIS_OBS_SPAN("rank");
-  return run_impl(deadlines, opts, /*count=*/true);
-}
-
-RankResult RankSession::run_silent(const DeadlineMap& deadlines,
-                                   const RankOptions& opts) {
-  AIS_OBS_SPAN("rank");
-  return run_impl(deadlines, opts, /*count=*/false);
-}
-
-void RankSession::count_run_telemetry(const RankResult& result) const {
   AIS_OBS_COUNT(obs::ctr::kRankRuns);
   AIS_OBS_COUNT(obs::ctr::kRankNodesRanked, active_.size());
-  if (!result.feasible) AIS_OBS_COUNT(obs::ctr::kRankInfeasible);
-}
-
-RankResult RankSession::run_impl(const DeadlineMap& deadlines,
-                                 const RankOptions& opts, bool count) {
-  if (count) {
-    AIS_OBS_COUNT(obs::ctr::kRankRuns);
-    AIS_OBS_COUNT(obs::ctr::kRankNodesRanked, active_.size());
-  }
   bool structurally_feasible = true;
   const std::vector<Time>& rank =
       compute_ranks(deadlines, opts, &structurally_feasible);
@@ -541,7 +522,7 @@ RankResult RankSession::run_impl(const DeadlineMap& deadlines,
       break;
     }
   }
-  if (count && !result.feasible) AIS_OBS_COUNT(obs::ctr::kRankInfeasible);
+  if (!result.feasible) AIS_OBS_COUNT(obs::ctr::kRankInfeasible);
   return result;
 }
 

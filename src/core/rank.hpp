@@ -140,19 +140,6 @@ class RankSession {
   /// Ranks + greedy schedule; same contract as RankScheduler::run.
   RankResult run(const DeadlineMap& deadlines, const RankOptions& opts = {});
 
-  /// run() minus its telemetry counter bumps (rank.runs / rank.nodes_ranked
-  /// / rank.infeasible).  Used by the lookahead prescheduler to warm
-  /// sessions on thread-pool workers, where counter deltas would escape the
-  /// compiling thread's CounterRecorder and break cache-on/off counter
-  /// identity; the serial consumer re-issues the bumps through
-  /// count_run_telemetry when it adopts the result.
-  RankResult run_silent(const DeadlineMap& deadlines,
-                        const RankOptions& opts = {});
-
-  /// Re-issues, on the calling thread, exactly the counter bumps a run()
-  /// that produced `result` would have made.
-  void count_run_telemetry(const RankResult& result) const;
-
   /// Preseeds the next *full* compute_ranks pass with `donor`'s rank cache:
   /// every donor-active node adopts its donor rank and descendant part
   /// verbatim and is skipped by the backward pass, which packs only the
@@ -205,9 +192,6 @@ class RankSession {
   /// Moves x's by_rank_ entry from its old_rank position to where rank_[x]
   /// now sorts it.
   void reposition(NodeId x, Time old_rank);
-  /// Shared body of run() / run_silent().
-  RankResult run_impl(const DeadlineMap& deadlines, const RankOptions& opts,
-                      bool count);
 
   const RankScheduler* scheduler_;
   NodeSet active_;

@@ -235,7 +235,6 @@ void serialize_prefix(std::string& b, char kind,
   }
   put_i64(b, static_cast<std::int64_t>(params.window));
   put_i64(b, params.huge);
-  put_i64(b, static_cast<std::int64_t>(params.fill_cap));
   put_u8(b, flags_of(params, has_tie));
 }
 
@@ -317,7 +316,6 @@ bool decode_key(std::string_view bytes, DecodedKey& out) {
   for (std::uint32_t i = 0; i < 3 * num_timings; ++i) r.u32();
   r.i64();  // window
   r.i64();  // huge
-  r.i64();  // fill_cap
   const std::uint8_t flags = r.u8();
   out.has_tie = (flags & kFlagHasTie) != 0;
   if (out.kind == kTraceKind) {
@@ -361,7 +359,7 @@ std::size_t prefix_length(char kind, std::uint32_t num_classes) {
   std::size_t len = 1 + 4 + 4;                       // kind + versions
   len += 4 + 4 + 4ULL * num_classes;                 // machine shape
   len += 4 + 12ULL * kNumOpClasses;                  // timing table
-  len += 8 + 8 + 8 + 1;                              // window, huge, fill_cap, flags
+  len += 8 + 8 + 1;                                  // window, huge, flags
   len += kind == kTraceKind ? 4 : 8;                 // block count / t_old
   return len;
 }
@@ -421,15 +419,6 @@ void put_time_vec(std::string& b, const std::vector<Time>& v) {
   for (const Time x : v) put_i64(b, x);
 }
 
-void put_counters(std::string& b, const CounterDeltaMap& deltas) {
-  put_u32(b, static_cast<std::uint32_t>(deltas.size()));
-  for (const auto& [name, delta] : deltas) {
-    put_u32(b, static_cast<std::uint32_t>(name.size()));
-    b.append(name);
-    put_u64(b, delta);
-  }
-}
-
 bool read_u32_vec(Reader& r, std::vector<std::uint32_t>& v) {
   const std::uint32_t n = r.u32();
   if (!r.ok() || n > kMaxDecodedCount) return false;
@@ -446,54 +435,11 @@ bool read_time_vec(Reader& r, std::vector<Time>& v) {
   return r.ok();
 }
 
-bool read_counters(Reader& r, CounterDeltaMap& deltas) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > kMaxDecodedCount) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t len = r.u32();
-    if (!r.ok() || len > kMaxDecodedCount) return false;
-    const std::string_view name = r.bytes(len);
-    const std::uint64_t delta = r.u64();
-    if (!r.ok()) return false;
-    deltas.emplace(std::string(name), delta);
-  }
-  return true;
-}
-
-void put_samples(std::string& b, const ValueSampleMap& samples) {
-  put_u32(b, static_cast<std::uint32_t>(samples.size()));
-  for (const auto& [name, values] : samples) {
-    put_u32(b, static_cast<std::uint32_t>(name.size()));
-    b.append(name);
-    put_u32(b, static_cast<std::uint32_t>(values.size()));
-    for (const std::uint64_t v : values) put_u64(b, v);
-  }
-}
-
-bool read_samples(Reader& r, ValueSampleMap& samples) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > kMaxDecodedCount) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t len = r.u32();
-    if (!r.ok() || len > kMaxDecodedCount) return false;
-    const std::string_view name = r.bytes(len);
-    const std::uint32_t count = r.u32();
-    if (!r.ok() || count > kMaxDecodedCount) return false;
-    std::vector<std::uint64_t> values(count, 0);
-    for (std::uint64_t& v : values) v = r.u64();
-    if (!r.ok()) return false;
-    samples.emplace(std::string(name), std::move(values));
-  }
-  return true;
-}
-
 std::string encode_trace_value(const TraceCacheValue& v) {
   std::string b;
   put_u32_vec(b, v.order);
   put_time_vec(b, v.merged_makespans);
   put_u64(b, v.prefixes_emitted);
-  put_counters(b, v.counter_deltas);
-  put_samples(b, v.value_samples);
   return b;
 }
 
@@ -502,8 +448,6 @@ bool decode_trace_value(std::string_view bytes, TraceCacheValue& v) {
   if (!read_u32_vec(r, v.order)) return false;
   if (!read_time_vec(r, v.merged_makespans)) return false;
   v.prefixes_emitted = r.u64();
-  if (!read_counters(r, v.counter_deltas)) return false;
-  if (!read_samples(r, v.value_samples)) return false;
   return r.at_end();
 }
 
@@ -514,8 +458,6 @@ std::string encode_step_value(const StepCacheValue& v) {
   put_time_vec(b, v.suffix_deadlines);
   put_i64(b, v.suffix_makespan);
   put_i64(b, v.merged_makespan);
-  put_counters(b, v.counter_deltas);
-  put_samples(b, v.value_samples);
   return b;
 }
 
@@ -526,8 +468,6 @@ bool decode_step_value(std::string_view bytes, StepCacheValue& v) {
   if (!read_time_vec(r, v.suffix_deadlines)) return false;
   v.suffix_makespan = r.i64();
   v.merged_makespan = r.i64();
-  if (!read_counters(r, v.counter_deltas)) return false;
-  if (!read_samples(r, v.value_samples)) return false;
   return r.at_end();
 }
 
@@ -835,61 +775,42 @@ struct ScheduleCache::Impl {
   static constexpr std::chrono::microseconds kFlushDelay{2000};
 
 #if AIS_OBS_ENABLED
-  // Per-shard labeled latency metrics, registered once at construction so
-  // the hot paths only touch the cached handles (registrations are
-  // permanent; a second ScheduleCache instance just gets the same handles).
-  // Outcome indexes: 0 = hit (memory), 1 = miss, 2 = disk_hit.
+  // Labeled latency metrics, registered once at construction so the hot
+  // paths only touch the cached handles (registrations are permanent; a
+  // second ScheduleCache instance just gets the same handles).  Outcome
+  // indexes: 0 = hit (memory), 1 = miss, 2 = disk_hit.
   static constexpr int kOutcomeHit = 0;
   static constexpr int kOutcomeMiss = 1;
   static constexpr int kOutcomeDiskHit = 2;
   static constexpr const char* kOutcomeNames[3] = {"hit", "miss", "disk_hit"};
-  struct ShardMetrics {
-    obs::Counter* requests[3] = {};
-    obs::Histogram* lookup_us[3] = {};
-  };
-  std::vector<ShardMetrics> shard_metrics;  // one per shard
+  obs::Counter* requests[3] = {};
+  obs::Histogram* lookup_us[3] = {};
   obs::Histogram* disk_read_us = nullptr;
   obs::Histogram* disk_write_us = nullptr;
 
   Impl() {
-    register_shard_metrics();
     obs::MetricRegistry& reg = obs::MetricRegistry::global();
+    for (int o = 0; o < 3; ++o) {
+      requests[o] =
+          reg.counter("cache_requests_total", {"outcome", kOutcomeNames[o]});
+      lookup_us[o] =
+          reg.histogram("cache_lookup_us", {"outcome", kOutcomeNames[o]});
+    }
     disk_read_us = reg.histogram("cache_disk_read_us");
     disk_write_us = reg.histogram("cache_disk_write_us");
   }
 
-  /// (Re)builds the per-shard handle table for the current shard count.
-  /// Registrations are permanent, so growing and shrinking just re-resolves
-  /// the same series.
-  void register_shard_metrics() {
-    obs::MetricRegistry& reg = obs::MetricRegistry::global();
-    shard_metrics.assign(num_shards, ShardMetrics{});
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      const std::string shard = std::to_string(i);
-      for (int o = 0; o < 3; ++o) {
-        shard_metrics[i].requests[o] =
-            reg.counter("cache_requests_total", {"shard", shard},
-                        {"outcome", kOutcomeNames[o]});
-        shard_metrics[i].lookup_us[o] =
-            reg.histogram("cache_lookup_us", {"shard", shard},
-                          {"outcome", kOutcomeNames[o]});
-      }
-    }
-  }
-
-  /// Books one lookup: outcome counter plus whole-lookup latency, into the
-  /// shard the key hashes to.  start_us < 0 means telemetry was disabled at
-  /// lookup entry — record nothing.
-  void note_lookup(std::uint64_t hash, int outcome, std::int64_t start_us) {
+  /// Books one lookup: outcome counter plus whole-lookup latency.
+  /// start_us < 0 means telemetry was disabled at lookup entry — record
+  /// nothing.
+  void note_lookup(int outcome, std::int64_t start_us) {
     if (start_us < 0) return;
-    const std::size_t sh = shard_index(hash);
-    shard_metrics[sh].requests[outcome]->add(1);
-    shard_metrics[sh].lookup_us[outcome]->record(
+    requests[outcome]->add(1);
+    lookup_us[outcome]->record(
         static_cast<std::uint64_t>(Stopwatch::now_us() - start_us));
   }
 #else
   Impl() = default;
-  void register_shard_metrics() {}
 #endif  // AIS_OBS_ENABLED
 
   ~Impl() { stop_flusher(); }
@@ -1069,7 +990,6 @@ void ScheduleCache::set_shard_count(std::size_t count) {
   // Caller guarantees quiescence: nothing holds a Shard& or is mid-lookup.
   impl_->shards = std::make_unique<Impl::Shard[]>(n);
   impl_->num_shards = n;
-  impl_->register_shard_metrics();
 }
 
 std::size_t ScheduleCache::shard_count() const { return impl_->num_shards; }
@@ -1190,7 +1110,7 @@ std::optional<TraceCacheValue> ScheduleCache::lookup_trace(
 #endif
   }
 #if AIS_OBS_ENABLED
-  impl_->note_lookup(key.hash, outcome, start_us);
+  impl_->note_lookup(outcome, start_us);
 #endif
   if (!ok) return std::nullopt;
   return value;
@@ -1233,7 +1153,7 @@ std::optional<StepCacheValue> ScheduleCache::lookup_step(const CacheKey& key) {
 #endif
   }
 #if AIS_OBS_ENABLED
-  impl_->note_lookup(key.hash, outcome, start_us);
+  impl_->note_lookup(outcome, start_us);
 #endif
   if (!ok) return std::nullopt;
   return value;

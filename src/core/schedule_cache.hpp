@@ -7,7 +7,7 @@
 // maps that key to the solver's result so an identical instance (the same
 // block re-scheduled on every wrap-around iteration of a §5 loop trace, the
 // repeated bodies of an unrolled kernel, the same file recompiled) skips the
-// entire RankSession solve and replays the stored answer.
+// entire RankSession solve and is served the stored answer.
 //
 // Canonical form and the byte-identity contract
 // ---------------------------------------------
@@ -17,7 +17,7 @@
 // schedules), and edges are sorted.  Two instances produce equal keys
 // exactly when one is a monotone relabeling of the other — and the solver
 // breaks every tie by ascending node id, so it is equivariant under
-// monotone relabelings: replaying a cached schedule through the key's
+// monotone relabelings: mapping a cached schedule through the key's
 // dense→caller id map is byte-identical to a fresh solve.  (Serving hits
 // across *non*-monotone isomorphic relabelings would not be: equal-rank
 // nodes tie-break by id, and the relabeling can swap them.)  The key's
@@ -26,14 +26,15 @@
 // order, so isomorphic instances land in the same bucket and full-key
 // equality — never the hash — decides reuse.  See docs/CACHING.md.
 //
-// Counters are part of the contract: a hit replays the counter deltas the
-// original solve recorded (obs::CounterRecorder), so `aisc --profile` and
-// the differential tests see identical numbers with the cache on or off —
-// only the `cache.*` counters themselves differ.
+// Entries hold schedules only.  Counters count the work this process did:
+// a hit bumps `cache.hits` and nothing else, so with the cache on the
+// solver's counters (rank.runs, chop.calls, ...) only count real solves.
+// The byte-identity contract covers schedules, diagnostics and emitted
+// code, not telemetry.
 //
 // Two entry kinds share the cache:
-//  * Trace ('T'): one whole schedule_trace() result — order, diagnostics,
-//    counter deltas.
+//  * Trace ('T'): one whole schedule_trace() result — order and
+//    diagnostics.
 //  * Step ('S'): one Lookahead iteration (merge + Delay_Idle_Slots + chop)
 //    keyed on the live (old, new, deadlines, t_old) state, so repeated
 //    bodies hit even inside a single cold trace and across different traces.
@@ -52,7 +53,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,8 +70,9 @@ namespace ais {
 /// older scheduler can never be served.
 inline constexpr std::uint32_t kScheduleCacheAlgoVersion = 1;
 /// Bump when the key or value serialization layout changes.
-/// v3: values grew per-name histogram sample lists (value_samples).
-inline constexpr std::uint32_t kScheduleCacheFormatVersion = 3;
+/// v4: values hold schedules only (no counter deltas or histogram
+/// samples), and the key prefix lost the Merge fill-depth cap.
+inline constexpr std::uint32_t kScheduleCacheFormatVersion = 4;
 
 /// A canonical scheduling-instance key plus the remap table for its hits.
 struct CacheKey {
@@ -93,29 +94,15 @@ struct CacheInstanceParams {
   bool merge_deadline_caps = true;
   bool do_chop = true;
   bool split_long_ops = false;
-  /// LookaheadOptions::fill_cap: caps how deep Merge fills new-block nodes
-  /// into the retained suffix.  Changes emitted code, hence part of the key.
-  int fill_cap = 0;
   /// RankOptions::tie_break, indexed by caller NodeId; empty = id order.
   const std::vector<int>* tie_break = nullptr;
 };
-
-using CounterDeltaMap = std::map<std::string, std::uint64_t, std::less<>>;
-/// Histogram samples recorded by the original solve (obs::record_value),
-/// replayed on hits like counter_deltas.  Only deterministic, run-
-/// independent distributions qualify (chop.prefix_len); wall-clock
-/// histograms carry the "time." prefix, which CounterRecorder filters
-/// before anything reaches a cache value.
-using ValueSampleMap =
-    std::map<std::string, std::vector<std::uint64_t>, std::less<>>;
 
 /// One whole schedule_trace() outcome, in dense ids.
 struct TraceCacheValue {
   std::vector<std::uint32_t> order;        // planning permutation, dense
   std::vector<Time> merged_makespans;      // LookaheadDiagnostics
   std::uint64_t prefixes_emitted = 0;
-  CounterDeltaMap counter_deltas;
-  ValueSampleMap value_samples;
 };
 
 /// One Lookahead iteration outcome, in dense ids.
@@ -125,8 +112,6 @@ struct StepCacheValue {
   std::vector<Time> suffix_deadlines;       // rebased, aligned with above
   Time suffix_makespan = 0;                 // next iteration's t_old
   Time merged_makespan = 0;                 // diagnostics entry
-  CounterDeltaMap counter_deltas;
-  ValueSampleMap value_samples;
 };
 
 /// Key for a whole trace: `blocks` in iteration order over `g`.

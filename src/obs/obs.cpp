@@ -136,14 +136,6 @@ PhaseCell& resolve_phase(SiteHandle* site, const char* name) {
 /// but never drops a series), so a memoized handle can never dangle.
 thread_local std::map<std::string, Histogram*, std::less<>> t_hist_slots;
 
-/// Names CounterRecorder refuses to capture: cache traffic ("cache.") and
-/// wall-clock distributions ("time.") describe the run, not the schedule —
-/// replaying either from a cache hit would double-count or smear timings.
-bool recorder_skips(std::string_view name) {
-  return name.substr(0, 6) == ctr::kCachePrefix ||
-         name.substr(0, 5) == ctr::kTimePrefix;
-}
-
 int thread_index() {
   Registry& r = registry();
   MutexLock lock(r.mu);
@@ -273,9 +265,6 @@ void count_cached(SiteHandle& site, std::string_view name,
 }
 
 void record_value(std::string_view name, std::uint64_t value) {
-  if (!t_recorders.empty()) {
-    for (CounterRecorder* r : t_recorders) r->record_sample(name, value);
-  }
   if (!enabled()) return;
   auto it = t_hist_slots.find(name);
   if (it == t_hist_slots.end()) {
@@ -296,34 +285,11 @@ CounterRecorder::~CounterRecorder() {
 }
 
 void CounterRecorder::record(std::string_view name, std::uint64_t delta) {
-  if (recorder_skips(name)) return;
   const auto it = deltas_.find(name);
   if (it == deltas_.end()) {
     deltas_.emplace(std::string(name), delta);
   } else {
     it->second += delta;
-  }
-}
-
-void CounterRecorder::record_sample(std::string_view name,
-                                    std::uint64_t value) {
-  if (recorder_skips(name)) return;
-  const auto it = samples_.find(name);
-  if (it == samples_.end()) {
-    samples_.emplace(std::string(name), std::vector<std::uint64_t>{value});
-  } else {
-    it->second.push_back(value);
-  }
-}
-
-void CounterRecorder::replay(
-    const std::map<std::string, std::uint64_t, std::less<>>& deltas) {
-  for (const auto& [name, delta] : deltas) count(name, delta);
-}
-
-void CounterRecorder::replay_values(const ValueSamples& samples) {
-  for (const auto& [name, values] : samples) {
-    for (const std::uint64_t v : values) record_value(name, v);
   }
 }
 

@@ -65,9 +65,8 @@ const std::string& env_trace_path();
 /// (so a delta of 0 registers a counter without changing it).  Counters are
 /// process-global, thread-safe and monotone: there is no decrement.
 /// No-op while !enabled(), except that deltas are still delivered to any
-/// CounterRecorder active on the calling thread (the schedule cache records
-/// counter deltas even in untraced runs, so a later traced run replaying a
-/// cached entry reports the same numbers a fresh solve would).  A fully
+/// CounterRecorder active on the calling thread (a `COMPILE profile=1`
+/// request captures its own counters in untraced daemons).  A fully
 /// disabled hook costs one thread-local load plus one relaxed atomic load.
 void count(std::string_view name, std::uint64_t delta = 1);
 
@@ -89,63 +88,35 @@ void count_cached(SiteHandle& site, std::string_view name,
                   std::uint64_t delta = 1);
 
 /// Records one sample into the process-global histogram `name` (registered
-/// on first touch in MetricRegistry::global()).  The histogram analog of
-/// count(): while !enabled() it only delivers to active CounterRecorders
-/// (which skip "cache."/"time."-prefixed names — wall-clock distributions
-/// describe the run, not the schedule); while enabled() it also lands in
-/// the registry.  Steady state is lock-free: the histogram handle is
-/// memoized per (thread, name).
+/// on first touch in MetricRegistry::global()).  No-op while !enabled().
+/// Steady state is lock-free: the histogram handle is memoized per
+/// (thread, name).
 void record_value(std::string_view name, std::uint64_t value);
 
 /// RAII capture of every count() issued by the *calling thread* while alive,
-/// independent of enabled().  Recorders nest (a stack per thread; each
-/// delivery goes to all of them, so an outer recorder sees deltas replayed
-/// by an inner cache hit) and skip counters prefixed "cache." — cache
-/// traffic describes the run, not the schedule, and replaying it would
-/// double-count.  Used by core/schedule_cache to make cached results
-/// counter-identical to fresh solves.
+/// independent of enabled(): the counters of one `COMPILE profile=1`
+/// request (server/compile_service), `cache.*` included.  Work done on
+/// other threads (pre-scheduling pool workers) is not captured.  Recorders
+/// nest; each delivery goes to every active one.
 class CounterRecorder {
  public:
-  /// An inactive recorder records nothing and costs nothing (the cache
-  /// passes active=false when caching is bypassed).
+  /// An inactive recorder records nothing and costs nothing.
   explicit CounterRecorder(bool active = true);
   ~CounterRecorder();
   CounterRecorder(const CounterRecorder&) = delete;
   CounterRecorder& operator=(const CounterRecorder&) = delete;
-
-  /// Histogram samples captured by record_value(), per name, in arrival
-  /// order (order matters: replay re-issues them one by one so an outer
-  /// recorder and the registry see the same stream a fresh solve produced).
-  using ValueSamples =
-      std::map<std::string, std::vector<std::uint64_t>, std::less<>>;
 
   /// The captured (name, summed delta) pairs, sorted by name.
   const std::map<std::string, std::uint64_t, std::less<>>& deltas() const {
     return deltas_;
   }
 
-  /// The captured histogram samples, sorted by name.
-  const ValueSamples& value_samples() const { return samples_; }
-
-  /// Re-issues every recorded delta through count() on the calling thread
-  /// (delivering to the global registry while enabled() and to any recorder
-  /// active *outside* this one).
-  static void replay(
-      const std::map<std::string, std::uint64_t, std::less<>>& deltas);
-
-  /// Re-issues every recorded sample through record_value(), same contract.
-  static void replay_values(const ValueSamples& samples);
-
   /// Internal: called by count() for each delivery.
   void record(std::string_view name, std::uint64_t delta);
-
-  /// Internal: called by record_value() for each delivery.
-  void record_sample(std::string_view name, std::uint64_t value);
 
  private:
   bool active_;
   std::map<std::string, std::uint64_t, std::less<>> deltas_;
-  ValueSamples samples_;
 };
 
 /// Current value of `name`; 0 if it was never touched.
@@ -287,10 +258,7 @@ inline constexpr const char* kSimStallWindow = "sim.stall.window";
 /// the idle cycles skipped by next-event jumps.  Their sum equals kSimCycles.
 inline constexpr const char* kSimEvents = "sim.events";
 inline constexpr const char* kSimCyclesJumped = "sim.cycles_jumped";
-/// Schedule-cache counters (core/schedule_cache).  The "cache." prefix is
-/// load-bearing: CounterRecorder filters it, and the differential tests
-/// exclude it when asserting cache-on/off counter identity.
-inline constexpr const char* kCachePrefix = "cache.";
+/// Schedule-cache counters (core/schedule_cache).
 inline constexpr const char* kCacheHits = "cache.hits";
 inline constexpr const char* kCacheMisses = "cache.misses";
 inline constexpr const char* kCacheEvictions = "cache.evictions";
@@ -303,18 +271,12 @@ inline constexpr const char* kCacheDiskWriteCoalesced =
     "cache.disk_write_coalesced";
 /// Prefix for per-diagnostic-code verifier counters ("verify.diag.<code>").
 inline constexpr const char* kVerifyDiagPrefix = "verify.diag.";
-/// Prefix for wall-clock histogram names (see namespace hist below).
-/// Load-bearing like kCachePrefix: CounterRecorder filters both prefixes,
-/// so run-dependent timings never enter schedule-cache values and the
-/// cache-on/off differential tests stay byte-identical.
-inline constexpr const char* kTimePrefix = "time.";
 }  // namespace ctr
 
 // --- histogram names used by the built-in instrumentation ---------------
 //
-// All wall-clock distributions use the "time." prefix (filtered by
-// CounterRecorder, see ctr::kTimePrefix); deterministic shape
-// distributions (chop.prefix_len) do not, and replay through the cache.
+// All wall-clock distributions use the "time." prefix; deterministic shape
+// distributions (chop.prefix_len) do not.
 namespace hist {
 inline constexpr const char* kCompileTraceUs = "time.compile_trace_us";
 inline constexpr const char* kCompileLoopUs = "time.compile_loop_us";
@@ -328,10 +290,9 @@ inline constexpr const char* kGraftUs = "time.graft_us";
 /// simulate_many whole-batch time.
 inline constexpr const char* kSimBatchUs = "time.sim_batch_us";
 /// Schedule-cache latency histograms are labeled series registered by
-/// core/schedule_cache directly ("cache_lookup_us{shard=,outcome=}",
+/// core/schedule_cache directly ("cache_lookup_us{outcome=}",
 /// "cache_disk_read_us", "cache_disk_write_us").
-/// Emitted-prefix length per chop call — deterministic, so it is recorded
-/// into cache values and replayed on hits like a counter.
+/// Emitted-prefix length per chop call that ran (cache hits record none).
 inline constexpr const char* kChopPrefixLen = "chop.prefix_len";
 }  // namespace hist
 

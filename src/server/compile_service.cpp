@@ -121,9 +121,9 @@ void compile_ir(const std::string& ir_text, const CompileOptions& options,
     return;
   }
 
-  // Capture this request's counter stream: the recorder sees every delta
-  // the calling thread issues (including cache-hit replays) and filters
-  // cache./time. — exactly the stream the differential tests compare.
+  // Capture this request's counters: every delta the calling thread
+  // issues, cache.* included, so a hit reports cache.hits and no solver
+  // work.
   obs::CounterRecorder recorder(options.profile);
 
   if (options.mode == "cfg") {

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "support/assert.hpp"
@@ -64,6 +65,14 @@ std::vector<std::string> CliArgs::unread() const {
     if (read_.count(name) == 0) names.push_back(name);
   }
   return names;
+}
+
+bool CliArgs::report_unknown(const char* tool) const {
+  const std::vector<std::string> names = unread();
+  for (const std::string& name : names) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", tool, name.c_str());
+  }
+  return !names.empty();
 }
 
 }  // namespace ais

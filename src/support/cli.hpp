@@ -2,8 +2,9 @@
 //
 // Supports `--name value` and `--name=value`.  Every getter records the
 // name it was asked for, so after a tool has read all its flags, unread()
-// lists the ones it does not know; a tool that exits on a non-empty list
-// turns a typo or a removed flag into an error instead of a silent default.
+// lists the ones it does not know; a tool that exits when report_unknown()
+// finds one turns a typo or a removed flag into an error instead of a
+// silent default.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,11 @@ class CliArgs {
   /// Flags given on the command line that no getter (or has()) has asked
   /// for yet, in name order.
   std::vector<std::string> unread() const;
+
+  /// Prints "<tool>: unknown flag --<name>" to stderr for every unread()
+  /// flag and returns true if there was any.  Call it once the tool has
+  /// read every flag it accepts.
+  bool report_unknown(const char* tool) const;
 
  private:
   const std::string* find(const std::string& name) const;

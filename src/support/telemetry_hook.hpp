@@ -11,9 +11,8 @@
 //
 // The sample names live here, next to the emitting code, so obs's metric
 // glossary (obs.hpp, docs/OBSERVABILITY.md) can alias rather than restate
-// them.  The "time." prefix marks wall-clock distributions: they describe
-// the run, not the schedule, so obs::CounterRecorder excludes them from
-// cache replay (see src/obs/obs.hpp).
+// them.  The "time." prefix marks wall-clock distributions, as it does for
+// every histogram in src/obs/obs.hpp.
 #pragma once
 
 #include <atomic>

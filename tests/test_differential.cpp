@@ -27,7 +27,6 @@
 #include "graph/closure.hpp"
 #include "graph/topo.hpp"
 #include "machine/machine_model.hpp"
-#include "obs/obs.hpp"
 #include "support/prng.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/random_graphs.hpp"
@@ -778,9 +777,10 @@ void expect_same_lookahead(const LookaheadResult& got,
 
 /// The schedule cache must be output-invisible: every trace compile with
 /// the cache on — cold misses, warm trace hits, step hits inside cold
-/// traces — produces byte-identical schedules, diagnostics and counter
-/// deltas (cache.* excluded by the recorder) to a bypassed solve.  Seeds
-/// repeat so the sequence genuinely contains trace- and step-level hits.
+/// traces — produces byte-identical schedules and diagnostics to a
+/// bypassed solve.  (Counters differ by design: a hit does no solver
+/// work.)  Seeds repeat so the sequence genuinely contains trace- and
+/// step-level hits.
 TEST(Differential, CacheOnMatchesCacheOffSerial) {
   ScheduleCache& cache = ScheduleCache::global();
   const bool was_enabled = cache.enabled();
@@ -816,26 +816,15 @@ TEST(Differential, CacheOnMatchesCacheOffSerial) {
       opts.window = regime.window;
 
       LookaheadResult want;
-      CounterDeltaMap want_deltas;
       {
         ScheduleCache::ScopedBypass bypass;
-        obs::CounterRecorder rec;
         want = schedule_trace(scheduler, opts);
-        want_deltas = rec.deltas();
       }
-
-      LookaheadResult got;
-      CounterDeltaMap got_deltas;
-      {
-        obs::CounterRecorder rec;
-        got = schedule_trace(scheduler, opts);
-        got_deltas = rec.deltas();
-      }
+      const LookaheadResult got = schedule_trace(scheduler, opts);
 
       const std::string what =
           std::string(regime.name) + " round " + std::to_string(round);
       expect_same_lookahead(got, want, what);
-      EXPECT_EQ(got_deltas, want_deltas) << what;
     }
   }
   cache.set_enabled(was_enabled);

@@ -1,9 +1,9 @@
 // Tests for the metrics layer: log-bucketed histogram exactness against a
 // sorted-vector oracle, snapshot merge algebra, the labeled registry and
 // its Prometheus/JSON exposition, the telemetry fast paths surviving
-// reset(), CounterRecorder value replay, schedule byte-identity with
-// metrics on/off, and the crash flight recorder (in-process dumps plus the
-// deliberate-abort subprocess fixture).
+// reset(), schedule byte-identity with metrics on/off, and the crash
+// flight recorder (in-process dumps plus the deliberate-abort subprocess
+// fixture).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -256,43 +256,6 @@ TEST(MetricsObs, RecordValueLandsInTheGlobalRegistry) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-// --- CounterRecorder histogram replay -----------------------------------
-
-TEST(MetricsObs, RecorderCapturesAndReplaysValueSamplesInOrder) {
-  fresh(/*enabled=*/false);
-  obs::CounterRecorder::ValueSamples samples;
-  {
-    obs::CounterRecorder rec;
-    obs::record_value("unit.replay.len", 4);
-    obs::record_value("unit.replay.len", 9);
-    obs::record_value("unit.replay.other", 1);
-    samples = rec.value_samples();
-  }
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples.at("unit.replay.len"),
-            (std::vector<std::uint64_t>{4, 9}));
-
-  // Replaying with telemetry on must land the same stream in the registry
-  // (this is what makes cache hits histogram-identical to fresh solves).
-  obs::set_enabled(true);
-  obs::CounterRecorder::replay_values(samples);
-  for (const obs::MetricSeries& s :
-       obs::MetricRegistry::global().snapshot()) {
-    if (s.name == "unit.replay.len") {
-      EXPECT_EQ(s.hist.count, 2u);
-      EXPECT_EQ(s.hist.sum, 13u);
-    }
-  }
-}
-
-TEST(MetricsObs, RecorderSkipsWallClockAndCacheDistributions) {
-  fresh(/*enabled=*/false);
-  obs::CounterRecorder rec;
-  obs::record_value("time.unit.wall_us", 123);
-  obs::record_value("cache.unit.lat_us", 456);
-  EXPECT_TRUE(rec.value_samples().empty());
 }
 
 // --- schedule byte-identity with metrics on/off -------------------------

@@ -1,10 +1,12 @@
 // Unit tests for the content-addressed schedule cache: canonical key
 // semantics (monotone-relabeling equality, relabeling-invariant structural
 // hash), round trips of both entry kinds, the dependence certificate, LRU
-// eviction, the disk tier's validation, and cross-trace reuse end to end.
+// eviction, the disk tier's validation, cross-trace reuse end to end, and
+// that a hit counts as a hit rather than as solver work.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,7 +18,10 @@
 #include "graph/depgraph.hpp"
 #include "graph/nodeset.hpp"
 #include "machine/machine_model.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "support/prng.hpp"
+#include "workloads/random_graphs.hpp"
 
 namespace ais {
 namespace {
@@ -158,7 +163,6 @@ TEST(ScheduleCache, TraceValueRoundTrip) {
   v.order = {0, 2, 1, 3};
   v.merged_makespans = {4};
   v.prefixes_emitted = 1;
-  v.counter_deltas["merge.rounds"] = 3;
   cache.insert_trace(key, v);
 
   const auto hit = cache.lookup_trace(key);
@@ -166,7 +170,6 @@ TEST(ScheduleCache, TraceValueRoundTrip) {
   EXPECT_EQ(hit->order, v.order);
   EXPECT_EQ(hit->merged_makespans, v.merged_makespans);
   EXPECT_EQ(hit->prefixes_emitted, 1u);
-  EXPECT_EQ(hit->counter_deltas, v.counter_deltas);
 }
 
 TEST(ScheduleCache, StepValueRoundTrip) {
@@ -187,7 +190,6 @@ TEST(ScheduleCache, StepValueRoundTrip) {
   v.suffix_deadlines = {5, 6, 7};
   v.suffix_makespan = 3;
   v.merged_makespan = 5;
-  v.counter_deltas["rank.incremental_nodes"] = 11;
   cache.insert_step(key, v);
 
   const auto hit = cache.lookup_step(key);
@@ -197,7 +199,6 @@ TEST(ScheduleCache, StepValueRoundTrip) {
   EXPECT_EQ(hit->suffix_deadlines, v.suffix_deadlines);
   EXPECT_EQ(hit->suffix_makespan, 3);
   EXPECT_EQ(hit->merged_makespan, 5);
-  EXPECT_EQ(hit->counter_deltas, v.counter_deltas);
 }
 
 TEST(ScheduleCache, CertificateRejectsDependenceViolations) {
@@ -314,14 +315,22 @@ TEST(ScheduleCache, CorruptDiskEntriesDegradeToMisses) {
   rewrite(bad_key);
   miss("key corruption");
 
-  // Flip a byte of the stored order (the value's trailing section is
-  // order[4] + makespans[1] + prefixes + empty counters = 44 bytes; the
-  // first order element sits 40 bytes from the end): the dependence
-  // certificate re-checked on load must reject it.
+  // Flip a byte of the stored order (the value is the file's trailing
+  // section: order[4] + makespans[1] + prefixes = 20 + 12 + 8 = 40 bytes;
+  // the first order element follows the order's u32 count, 36 bytes from
+  // the end): the dependence certificate re-checked on load must reject it.
   std::string bad_value = blob;
-  bad_value[blob.size() - 40] ^= 0x02;
+  bad_value[blob.size() - 36] ^= 0x02;
   rewrite(bad_value);
   miss("value corruption");
+
+  // A file of format v3 (the version field follows the 4-byte magic) is
+  // stale, whatever its bytes: a miss.
+  std::string v3 = blob;
+  const std::uint32_t old_version = 3;
+  std::memcpy(&v3[4], &old_version, sizeof old_version);
+  rewrite(v3);
+  miss("format v3");
 
   // A truncated file is also just a miss.
   rewrite(blob.substr(0, 10));
@@ -399,6 +408,72 @@ TEST(ScheduleCache, CrossTraceReuseRemapsOntoCallerIds) {
     EXPECT_EQ(second.order[i], first.order[i] + 1);
   }
   EXPECT_EQ(second.diag.merged_makespans, first.diag.merged_makespans);
+  global.set_enabled(was_enabled);
+}
+
+/// Number of chop.prefix_len samples in the metric registry.
+std::uint64_t chop_prefix_samples() {
+  for (const obs::MetricSeries& series :
+       obs::MetricRegistry::global().snapshot()) {
+    if (series.name == obs::hist::kChopPrefixLen && series.labels.empty()) {
+      return series.hist.count;
+    }
+  }
+  return 0;
+}
+
+/// A hit counts as a hit: the second schedule_trace of the same trace adds
+/// exactly one cache.hits and no solver work — no Rank, Merge, Chop or
+/// Move_Idle_Slot counter moves and no chop.prefix_len sample lands.
+TEST(ScheduleCache, HitCountsAsHitAndDoesNoSolverWork) {
+  ScheduleCache& global = ScheduleCache::global();
+  const bool was_enabled = global.enabled();
+  const bool obs_was_enabled = obs::enabled();
+  global.set_enabled(true);
+  global.clear();
+  obs::set_enabled(true);
+
+  Prng prng(0x417);
+  RandomTraceParams params;
+  params.num_blocks = 4;
+  params.block.num_nodes = 10;
+  params.block.edge_prob = 0.3;
+  params.block.max_latency = 2;
+  params.cross_edges = 2;
+  const DepGraph g = random_trace(prng, params);
+  const MachineModel machine = rs6000_like();
+  const RankScheduler scheduler(g, machine);
+  LookaheadOptions opts;
+  opts.window = 4;
+
+  const char* const solver_counters[] = {
+      obs::ctr::kRankRuns, obs::ctr::kMergeCalls, obs::ctr::kChopCalls,
+      obs::ctr::kIdleMoveAttempts};
+  const auto snapshot = [&] {
+    std::vector<std::uint64_t> values;
+    for (const char* name : solver_counters) {
+      values.push_back(obs::counter_value(name));
+    }
+    return values;
+  };
+
+  const std::vector<std::uint64_t> before_cold = snapshot();
+  const LookaheadResult cold = schedule_trace(scheduler, opts);
+  const std::vector<std::uint64_t> after_cold = snapshot();
+  for (std::size_t i = 0; i < after_cold.size(); ++i) {
+    EXPECT_GT(after_cold[i], before_cold[i])
+        << solver_counters[i] << ": the cold solve must do the work";
+  }
+
+  const std::uint64_t hits = obs::counter_value(obs::ctr::kCacheHits);
+  const std::uint64_t samples = chop_prefix_samples();
+  const LookaheadResult warm = schedule_trace(scheduler, opts);
+  EXPECT_EQ(warm.order, cold.order);
+  EXPECT_EQ(obs::counter_value(obs::ctr::kCacheHits), hits + 1);
+  EXPECT_EQ(snapshot(), after_cold);
+  EXPECT_EQ(chop_prefix_samples(), samples);
+
+  obs::set_enabled(obs_was_enabled);
   global.set_enabled(was_enabled);
 }
 

@@ -34,6 +34,9 @@
 #ifndef AISPROF_BINARY
 #error "AISPROF_BINARY must point at the aisprof executable"
 #endif
+#ifndef AISLOAD_BINARY
+#error "AISLOAD_BINARY must point at the aisload executable"
+#endif
 #ifndef AIS_EXAMPLES_DIR
 #error "AIS_EXAMPLES_DIR must point at the shipped examples/"
 #endif
@@ -451,6 +454,37 @@ TEST(Aisd, RejectsUnknownFlags) {
   EXPECT_EQ(WEXITSTATUS(status), 1);
   EXPECT_NE(err.find("unknown flag --batch-max"), std::string::npos) << err;
   EXPECT_FALSE(path_exists(sock)) << "aisd must not start serving";
+}
+
+/// The other tools reject a flag they do not know too, instead of running
+/// with its default: usage-error exit, the flag named on stderr, and no
+/// work done (nothing on stdout).
+TEST(Tools, RejectUnknownFlags) {
+  const std::string example =
+      std::string(AIS_EXAMPLES_DIR) + "/two_block_trace.s";
+  const std::string sock = ::testing::TempDir() + "/aisload_flags.sock";
+  struct Case {
+    std::string cmd;
+    int status;
+  };
+  const Case cases[] = {
+      {std::string(AISC_BINARY) + " --in " + example + " --jobz 4", 1},
+      {std::string(AISLINT_BINARY) + " --in " + example + " --jobz 4", 2},
+      {std::string(AISLINT_BINARY) + " --list-rules --jobz 4", 2},
+      {std::string(AISPROF_BINARY) + " --in " + example + " --jobz 4", 2},
+      {std::string(AISPROF_BINARY) + " --random-traces 2 --jobz 4", 2},
+      {std::string(AISLOAD_BINARY) + " --socket " + sock + " --jobz 4", 1},
+  };
+  for (const Case& c : cases) {
+    std::string out;
+    std::string err;
+    const int status = run_tool_with_stderr("timeout 10 " + c.cmd, &out, &err);
+    ASSERT_TRUE(WIFEXITED(status)) << c.cmd;
+    EXPECT_EQ(WEXITSTATUS(status), c.status) << c.cmd;
+    EXPECT_NE(err.find("unknown flag --jobz"), std::string::npos)
+        << c.cmd << "\n" << err;
+    EXPECT_TRUE(out.empty()) << c.cmd << "\n" << out;
+  }
 }
 
 TEST(Aisd, SigtermShutsDownCleanly) {

@@ -131,7 +131,20 @@ struct TelemetryFinalizer {
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string path = args.get_string("in", "");
-  if (path.empty()) {
+  const std::string machine_name = args.get_string("machine", "rs6000");
+  const int window = static_cast<int>(args.get_int("window", 0));
+  const std::string mode = args.get_string("mode", "trace");
+  const int jobs = static_cast<int>(args.get_int("jobs", 1));
+  const bool do_rename = args.get_bool("rename", false);
+  const bool report = args.get_bool("report", false);
+  const bool do_verify = args.get_bool("verify", false);
+  const bool has_cache = args.has("cache");
+  const bool cache_enabled = args.get_bool("cache", true);
+  const std::string cache_dir = args.get_string("cache-dir", "");
+  const bool profile = args.get_bool("profile", false);
+  const std::string trace_path = args.get_string("trace-json", "");
+  const std::string metrics_path = args.get_string("metrics-out", "");
+  if (args.report_unknown("aisc") || path.empty()) {
     std::fprintf(stderr, "usage: aisc --in FILE [--mode trace|loop|cfg] "
                          "[--machine NAME] [--window N] [--jobs N] "
                          "[--rename] [--report] [--verify] [--profile] "
@@ -148,25 +161,17 @@ int main(int argc, char** argv) {
   text << in.rdbuf();
 
   const Program prog = parse_program(text.str());
-  const MachineModel& machine =
-      machine_by_name(args.get_string("machine", "rs6000"));
-  const int window = static_cast<int>(args.get_int("window", 0));
-  const std::string mode = args.get_string("mode", "trace");
-  const bool do_rename = args.get_bool("rename", false);
-  const bool report = args.get_bool("report", false);
-  const bool do_verify = args.get_bool("verify", false);
+  const MachineModel& machine = machine_by_name(machine_name);
 
-  if (args.has("cache")) {
-    ScheduleCache::global().set_enabled(args.get_bool("cache", true));
-  }
-  const std::string cache_dir = args.get_string("cache-dir", "");
+  if (has_cache) ScheduleCache::global().set_enabled(cache_enabled);
   if (!cache_dir.empty()) ScheduleCache::global().set_disk_dir(cache_dir);
 
   obs::init_from_env();
   TelemetryFinalizer telemetry;
-  telemetry.profile = args.get_bool("profile", false);
-  telemetry.trace_path = args.get_string("trace-json", obs::env_trace_path());
-  telemetry.metrics_path = args.get_string("metrics-out", "");
+  telemetry.profile = profile;
+  telemetry.trace_path =
+      trace_path.empty() ? obs::env_trace_path() : trace_path;
+  telemetry.metrics_path = metrics_path;
   if (telemetry.profile) obs::set_enabled(true);
   if (!telemetry.trace_path.empty()) obs::set_trace_enabled(true);
   if (!telemetry.metrics_path.empty()) obs::set_enabled(true);
@@ -174,7 +179,6 @@ int main(int argc, char** argv) {
 
   if (mode == "cfg") {
     const Cfg cfg(prog);
-    const int jobs = static_cast<int>(args.get_int("jobs", 1));
     const CompiledProgram compiled =
         compile_program(cfg, machine, window, do_verify, jobs);
     emit(compiled.program.blocks);
@@ -210,9 +214,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aisc: unknown mode '%s'\n", mode.c_str());
     return 1;
   }
-  const ScheduledTrace scheduled =
-      schedule(trace, machine, window, {},
-               static_cast<int>(args.get_int("jobs", 1)));
+  const ScheduledTrace scheduled = schedule(trace, machine, window, {}, jobs);
   emit(scheduled.blocks);
   if (report) {
     const auto before = schedule_trace_per_block(

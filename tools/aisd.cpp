@@ -84,11 +84,7 @@ int main(int argc, char** argv) {
   const std::string metrics_path = args.get_string("metrics-out", "");
   const std::string port_file = args.get_string("port-file", "");
 
-  const std::vector<std::string> unknown = args.unread();
-  for (const std::string& name : unknown) {
-    std::fprintf(stderr, "aisd: unknown flag --%s\n", name.c_str());
-  }
-  if (!unknown.empty() ||
+  if (args.report_unknown("aisd") ||
       (options.socket_path.empty() && options.tcp_addr.empty())) {
     std::fprintf(
         stderr,

@@ -128,15 +128,33 @@ void print_verify_report(const verify::Report& report, bool quiet) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  const bool list_only = args.get_bool("list-rules", false);
+  const std::string path = args.get_string("in", "");
+  const std::string graph_path = args.get_string("graph", "");
+  const std::string machine_name = args.get_string("machine", "rs6000");
+  const int window = static_cast<int>(args.get_int("window", 0));
+  const std::string mode = args.get_string("mode", "trace");
+  const bool do_rename = args.get_bool("rename", false);
+  const bool do_verify = args.get_bool("verify", false);
+  const std::string against = args.get_string("against", "");
+  const bool optimal = args.get_bool("optimal", false);
+  const bool quiet = args.get_bool("quiet", false);
+  const bool notes = args.get_bool("notes", false);
+  const bool do_fix = args.get_bool("fix", false);
+  const std::string out_path = args.get_string("out", "");
+  const std::string sarif_arg = args.get_string("sarif", "");
+  const std::string rule_arg = args.get_string("rule", "");
+  const std::string no_rule_arg = args.get_string("no-rule", "");
+  const std::string werror_arg = args.get_string("Werror", "");
+  const bool werror_legacy = args.get_bool("werror", false);
+  const bool unknown = args.report_unknown("aislint");
 
-  if (args.get_bool("list-rules", false)) {
+  if (list_only && !unknown) {
     list_rules();
     return 0;
   }
 
-  const std::string path = args.get_string("in", "");
-  const std::string graph_path = args.get_string("graph", "");
-  if (path.empty() && graph_path.empty()) {
+  if (unknown || (path.empty() && graph_path.empty())) {
     std::fprintf(stderr,
                  "usage: aislint (--in FILE | --graph FILE.dg) "
                  "[--mode trace|loop|cfg] [--machine NAME] [--window N] "
@@ -147,30 +165,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const MachineModel& machine =
-      machine_by_name(args.get_string("machine", "rs6000"));
-  const int window = static_cast<int>(args.get_int("window", 0));
-  const std::string mode = args.get_string("mode", "trace");
+  const MachineModel& machine = machine_by_name(machine_name);
   if (mode != "trace" && mode != "loop" && mode != "cfg") {
     std::fprintf(stderr, "aislint: unknown mode '%s'\n", mode.c_str());
     return 2;
   }
-  const bool do_rename = args.get_bool("rename", false);
-  const bool do_verify = args.get_bool("verify", false);
-  const std::string against = args.get_string("against", "");
-  const bool optimal = args.get_bool("optimal", false);
-  const bool quiet = args.get_bool("quiet", false);
-  const bool notes = args.get_bool("notes", false);
-  const bool do_fix = args.get_bool("fix", false);
 
   // --- assemble the analysis configuration --------------------------------
   analysis::AnalysisOptions opts;
-  opts.only = split_commas(args.get_string("rule", ""));
-  opts.disabled = split_commas(args.get_string("no-rule", ""));
+  opts.only = split_commas(rule_arg);
+  opts.disabled = split_commas(no_rule_arg);
   check_rule_ids(opts.only);
   check_rule_ids(opts.disabled);
-  const std::string werror_arg = args.get_string("Werror", "");
-  if (werror_arg == "true" || args.get_bool("werror", false)) {
+  if (werror_arg == "true" || werror_legacy) {
     opts.warnings_as_errors = true;
   } else if (!werror_arg.empty()) {
     opts.werror = split_commas(werror_arg);
@@ -222,7 +229,6 @@ int main(int argc, char** argv) {
   const analysis::AnalysisResult result = analysis::run_analysis(input, opts);
 
   // --- output -------------------------------------------------------------
-  const std::string sarif_arg = args.get_string("sarif", "");
   const std::string artifact = graph_path.empty() ? path : graph_path;
   if (sarif_arg == "true") {
     std::fputs(analysis::to_sarif(result, artifact).c_str(), stdout);
@@ -254,7 +260,6 @@ int main(int argc, char** argv) {
     const analysis::FixResult fixed =
         analysis::reduce_and_prove(graph, machine, window);
     if (!quiet) std::printf("fix: %s\n", fixed.detail.c_str());
-    const std::string out_path = args.get_string("out", "");
     if (!out_path.empty()) {
       std::ofstream out(out_path);
       if (!out.is_open()) {

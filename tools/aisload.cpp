@@ -17,9 +17,11 @@
 // experiment — per-class percentiles come back separately (the QoS gate in
 // bench/bench_server.cpp is the same experiment in-process):
 //
-//   aisload --socket /tmp/aisd.sock --clients 2 --tenant web \
-//           --priority interactive --requests 2000 \
+//   aisload --socket /tmp/aisd.sock --clients 2 --tenant web
+//           --priority interactive --requests 2000
 //           --clients2 16 --tenant2 batch --priority2 bulk --requests2 8000
+//
+// (one command, wrapped here for width).
 //
 // Flags:
 //   --socket PATH     daemon unix socket
@@ -357,26 +359,8 @@ int main(int argc, char** argv) {
   LoadConfig cfg;
   const std::string socket = args.get_string("socket", "");
   const std::string tcp = args.get_string("tcp", "");
-  if (socket.empty() == tcp.empty()) {
-    std::fprintf(stderr,
-                 "usage: aisload (--socket PATH | --tcp HOST:PORT) "
-                 "[--requests N] [--clients N] [--priority P] [--tenant T] "
-                 "[--clients2 N] [--requests2 N] [--priority2 P] "
-                 "[--tenant2 T] [--rate R] [--bodies N] [--blocks N] "
-                 "[--insts N] [--mode M] [--machine NAME] [--window N] "
-                 "[--profile BOOL] [--examples DIR] [--seed N] [--json] "
-                 "[--metrics | --shutdown]\n");
-    return 1;
-  }
-  cfg.tcp = socket.empty();
-  cfg.target = cfg.tcp ? tcp : socket;
-  if (args.get_bool("metrics", false)) {
-    return simple_verb(cfg, server::kVerbMetrics);
-  }
-  if (args.get_bool("shutdown", false)) {
-    return simple_verb(cfg, server::kVerbShutdown);
-  }
-
+  const bool metrics_only = args.get_bool("metrics", false);
+  const bool shutdown_only = args.get_bool("shutdown", false);
   cfg.requests = static_cast<std::size_t>(args.get_int("requests", 1000));
   cfg.clients =
       std::max<std::size_t>(1, static_cast<std::size_t>(
@@ -404,15 +388,30 @@ int main(int argc, char** argv) {
 
   ClientClass class2;
   class2.clients = static_cast<std::size_t>(args.get_int("clients2", 0));
-  const std::size_t requests2 =
-      class2.clients > 0
-          ? static_cast<std::size_t>(args.get_int(
-                "requests2", static_cast<std::int64_t>(cfg.requests)))
-          : 0;
+  const auto requests2_flag = static_cast<std::size_t>(
+      args.get_int("requests2", static_cast<std::int64_t>(cfg.requests)));
+  const std::size_t requests2 = class2.clients > 0 ? requests2_flag : 0;
   class2.id_begin = cfg.requests;
   class2.id_end = cfg.requests + requests2;
   class2.priority = args.get_string("priority2", "");
   class2.tenant = args.get_string("tenant2", "");
+
+  if (args.report_unknown("aisload") || socket.empty() == tcp.empty()) {
+    std::fprintf(stderr,
+                 "usage: aisload (--socket PATH | --tcp HOST:PORT) "
+                 "[--requests N] [--clients N] [--priority P] [--tenant T] "
+                 "[--clients2 N] [--requests2 N] [--priority2 P] "
+                 "[--tenant2 T] [--rate R] [--bodies N] [--blocks N] "
+                 "[--insts N] [--mode M] [--machine NAME] [--window N] "
+                 "[--profile BOOL] [--examples DIR] [--seed N] [--json] "
+                 "[--metrics | --shutdown]\n");
+    return 1;
+  }
+  cfg.tcp = socket.empty();
+  cfg.target = cfg.tcp ? tcp : socket;
+  if (metrics_only) return simple_verb(cfg, server::kVerbMetrics);
+  if (shutdown_only) return simple_verb(cfg, server::kVerbShutdown);
+
   if (class2.clients > 0 && cfg.rate > 0) {
     std::fprintf(stderr,
                  "aisload: --rate applies to class 1 only; class 2 is "

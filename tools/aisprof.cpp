@@ -33,10 +33,6 @@
 //   --blocks/--nodes   random-trace shape (default 8 blocks x 12 nodes)
 //   --edge-prob P      intra-block edge probability (default 0.35)
 //   --max-latency L    maximum edge latency (default 3; 1 = restricted case)
-//   --fill-cap C       also compile every survey trace with the Merge fill
-//                      depth capped at C and report the simulated cycle
-//                      delta vs the advisory order (0 = off; see
-//                      LookaheadOptions::fill_cap and ROADMAP window-span)
 //   --seed S           PRNG seed for the survey (default 42)
 //   --jobs N           compile traces on N threads (0 = one per allowed
 //                      CPU; results are identical at every N)
@@ -119,6 +115,19 @@ std::string json_phases() {
   return os.str();
 }
 
+/// Prints the usage text; returns the usage-error exit status.
+int usage() {
+  std::fprintf(stderr,
+               "usage: aisprof --in FILE [--mode trace|loop|cfg] "
+               "[--machine NAME] [--window N] [--repeat N] [--jobs N] "
+               "[--trace-json FILE] [--json FILE] [--metrics] [--hist] "
+               "[--metrics-out FILE] [--cache BOOL] [--cache-dir DIR]\n"
+               "       aisprof --random-traces N [--blocks B] [--nodes K] "
+               "[--window W] [--machine NAME] [--seed S] [--edge-prob P] "
+               "[--max-latency L] [--jobs N]\n");
+  return 2;
+}
+
 /// Window-span survey over random traces: the data behind the ROADMAP
 /// `window-span` decision.
 int run_random_survey(const CliArgs& args) {
@@ -127,21 +136,23 @@ int run_random_survey(const CliArgs& args) {
   const int nodes = static_cast<int>(args.get_int("nodes", 12));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const MachineModel& machine =
-      machine_by_name(args.get_string("machine", "deep"));
+  const std::string machine_name = args.get_string("machine", "deep");
   int window = static_cast<int>(args.get_int("window", 0));
+  const double edge_prob = args.get_double("edge-prob", 0.35);
+  const int max_latency = static_cast<int>(args.get_int("max-latency", 3));
+  const int jobs = static_cast<int>(args.get_int("jobs", 1));
+  if (args.report_unknown("aisprof")) return usage();
+
+  const MachineModel& machine = machine_by_name(machine_name);
   if (window == 0) window = machine.default_window();
 
   Prng prng(seed);
   RandomTraceParams params;
   params.num_blocks = blocks;
   params.block.num_nodes = nodes;
-  params.block.edge_prob = args.get_double("edge-prob", 0.35);
-  params.block.max_latency =
-      static_cast<int>(args.get_int("max-latency", 3));
+  params.block.edge_prob = edge_prob;
+  params.block.max_latency = max_latency;
   params.cross_edges = 2;
-
-  const int jobs = static_cast<int>(args.get_int("jobs", 1));
 
   // The trace set is pregenerated serially from the single PRNG stream so
   // it is identical at every --jobs; each trace then compiles into its own
@@ -161,35 +172,10 @@ int run_random_survey(const CliArgs& args) {
     lists[i] = res.priority_list();
   });
 
-  // Optional second arm: the same traces compiled with a capped Merge fill
-  // depth (LookaheadOptions::fill_cap), for the ROADMAP `window-span`
-  // comparison of advisory vs W-capped planning orders.
-  const int fill_cap = static_cast<int>(args.get_int("fill-cap", 0));
-  std::vector<std::vector<NodeId>> capped_lists;
-  std::vector<std::size_t> capped_spans;
-  if (fill_cap > 0) {
-    capped_lists.resize(graphs.size());
-    capped_spans.assign(graphs.size(), 0);
-    parallel_for(jobs, graphs.size(), [&](std::size_t i) {
-      const RankScheduler scheduler(graphs[i], machine);
-      LookaheadOptions opts;
-      opts.window = window;
-      opts.fill_cap = fill_cap;
-      const LookaheadResult res = schedule_trace(scheduler, opts);
-      capped_spans[i] = res.diag.max_inversion_span;
-      capped_lists[i] = res.priority_list();
-    });
-  }
-
-  // All executions go through one batched simulate_many: uncapped lists
-  // first, then (when --fill-cap is set) the capped ones.
   std::vector<SimJob> sim_jobs;
-  sim_jobs.reserve(lists.size() + capped_lists.size());
+  sim_jobs.reserve(lists.size());
   for (std::size_t i = 0; i < lists.size(); ++i) {
     sim_jobs.push_back({&graphs[i], &machine, &lists[i], window});
-  }
-  for (std::size_t i = 0; i < capped_lists.size(); ++i) {
-    sim_jobs.push_back({&graphs[i], &machine, &capped_lists[i], window});
   }
   const std::vector<SimResult> sims =
       simulate_many(sim_jobs, clamp_jobs(jobs));
@@ -233,33 +219,6 @@ int run_random_survey(const CliArgs& args) {
   std::printf("window-span survey (counter %s):\n%s",
               obs::ctr::kWindowSpanOverW, t.to_string().c_str());
 
-  if (fill_cap > 0) {
-    int capped_over = 0;
-    int better = 0;
-    int equal = 0;
-    int worse = 0;
-    double log_ratio_sum = 0;
-    for (std::size_t i = 0; i < capped_lists.size(); ++i) {
-      if (capped_spans[i] > static_cast<std::size_t>(window)) ++capped_over;
-      const Time uncapped_cycles = sims[i].completion;
-      const Time capped_cycles = sims[lists.size() + i].completion;
-      if (capped_cycles < uncapped_cycles) ++better;
-      else if (capped_cycles == uncapped_cycles) ++equal;
-      else ++worse;
-      log_ratio_sum += std::log(static_cast<double>(capped_cycles) /
-                                static_cast<double>(uncapped_cycles));
-    }
-    TextTable tc({"metric", "value"});
-    tc.add_row({"fill cap", std::to_string(fill_cap)});
-    tc.add_row({"capped span > W traces", std::to_string(capped_over)});
-    tc.add_row({"capped better / equal / worse",
-                std::to_string(better) + " / " + std::to_string(equal) +
-                    " / " + std::to_string(worse)});
-    tc.add_row({"geomean cycles ratio (capped/uncapped)",
-                fmt_double(n == 0 ? 1.0 : std::exp(log_ratio_sum / n), 4)});
-    std::printf("fill-cap comparison (same traces, fill_cap = %d):\n%s",
-                fill_cap, tc.to_string().c_str());
-  }
   return 0;
 }
 
@@ -279,16 +238,18 @@ int main(int argc, char** argv) {
   if (args.has("random-traces")) return run_random_survey(args);
 
   const std::string path = args.get_string("in", "");
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: aisprof --in FILE [--mode trace|loop|cfg] "
-                 "[--machine NAME] [--window N] [--repeat N] [--jobs N] "
-                 "[--trace-json FILE] [--json FILE] [--metrics] [--hist] "
-                 "[--metrics-out FILE] [--cache BOOL] [--cache-dir DIR]\n"
-                 "       aisprof --random-traces N [--blocks B] [--nodes K] "
-                 "[--window W] [--machine NAME] [--seed S] [--jobs N]\n");
-    return 2;
-  }
+  const std::string machine_name = args.get_string("machine", "rs6000");
+  const int window = static_cast<int>(args.get_int("window", 0));
+  const std::string mode = args.get_string("mode", "trace");
+  const int repeat = std::max(1, static_cast<int>(args.get_int("repeat", 1)));
+  const int jobs = static_cast<int>(args.get_int("jobs", 1));
+  const std::string trace_path =
+      args.get_string("trace-json", obs::env_trace_path());
+  const bool print_metrics = args.get_bool("metrics", false);
+  const bool print_hist = args.get_bool("hist", false);
+  const std::string metrics_path = args.get_string("metrics-out", "");
+  const std::string json_path = args.get_string("json", "");
+  if (args.report_unknown("aisprof") || path.empty()) return usage();
   std::ifstream in(path);
   if (!in.is_open()) {
     std::fprintf(stderr, "aisprof: cannot open %s\n", path.c_str());
@@ -298,13 +259,7 @@ int main(int argc, char** argv) {
   text << in.rdbuf();
 
   const Program prog = parse_program(text.str());
-  const MachineModel& machine =
-      machine_by_name(args.get_string("machine", "rs6000"));
-  const int window = static_cast<int>(args.get_int("window", 0));
-  const std::string mode = args.get_string("mode", "trace");
-  const int repeat = std::max(1, static_cast<int>(args.get_int("repeat", 1)));
-  const std::string trace_path =
-      args.get_string("trace-json", obs::env_trace_path());
+  const MachineModel& machine = machine_by_name(machine_name);
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 
   const obs::ScheduleStats before_stats = obs::ScheduleStats::capture();
@@ -343,7 +298,6 @@ int main(int argc, char** argv) {
     cycles_per_iteration = scheduled.cycles_per_iteration;
   } else if (mode == "cfg") {
     const Cfg cfg(prog);
-    const int jobs = static_cast<int>(args.get_int("jobs", 1));
     CompiledProgram compiled;
     compile_ms = timed_ms([&] {
       for (int r = 0; r < repeat; ++r) {
@@ -374,15 +328,14 @@ int main(int argc, char** argv) {
   std::printf("schedule stats (this run):\n%s\n", stats.to_string().c_str());
   if (have_sim) print_stall_table(sim);
 
-  if (args.get_bool("metrics", false)) {
+  if (print_metrics) {
     obs::record_process_gauges();
     std::printf("\n%s",
                 obs::MetricRegistry::global().prometheus_text().c_str());
   }
-  if (args.get_bool("hist", false)) {
+  if (print_hist) {
     std::printf("\n%s", obs::MetricRegistry::global().ascii_report().c_str());
   }
-  const std::string metrics_path = args.get_string("metrics-out", "");
   if (!metrics_path.empty()) {
     obs::record_process_gauges();
     std::ofstream mo(metrics_path);
@@ -406,7 +359,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string json_path = args.get_string("json", "");
   if (!json_path.empty()) {
     std::ofstream js(json_path);
     if (!js.is_open()) {
