@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 40));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 0xe10));
+  if (args.report_unknown("bench_ablation")) return 2;
 
   struct Variant {
     const char* name;

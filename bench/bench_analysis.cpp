@@ -154,6 +154,7 @@ int main(int argc, char** argv) {
   const std::string dir = args.get_string("examples", AIS_EXAMPLES_DIR);
   const int repeat = static_cast<int>(args.get_int("repeat", 30));
   const std::string json_path = args.get_string("json", "");
+  if (args.report_unknown("bench_analysis")) return 2;
   const MachineModel& machine = *machine_preset("rs6000");
 
   std::printf("analysis-pass overhead on the example corpus "

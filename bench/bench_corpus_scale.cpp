@@ -52,7 +52,12 @@ int main(int argc, char** argv) {
   const int jobs = static_cast<int>(args.get_int("jobs", 1));
   // A fresh random corpus never repeats a trace, so the schedule cache is
   // pure overhead here; leave it off unless --cache asks otherwise.
-  ScheduleCache::global().set_enabled(args.get_bool("cache", false));
+  const bool cache = args.get_bool("cache", false);
+  const std::string json_path = args.get_string("json", "");
+  const double max_ms = args.get_double("max-ms", 0.0);
+  const double max_rss_mb = args.get_double("max-rss-mb", 0.0);
+  if (args.report_unknown("bench_corpus_scale")) return 2;
+  ScheduleCache::global().set_enabled(cache);
 
   std::size_t chunks = 0;
   std::size_t traces = 0;
@@ -82,7 +87,6 @@ int main(int argc, char** argv) {
       params.num_blocks, insts, chunks, traces, cycles_before, cycles_after,
       wall_ms, peak_rss_mb);
 
-  const std::string json_path = args.get_string("json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out.is_open()) {
@@ -102,7 +106,6 @@ int main(int argc, char** argv) {
 
   // Budget gates: nonzero exit turns a regression into a red CI run.
   int rc = 0;
-  const double max_ms = args.get_double("max-ms", 0.0);
   if (max_ms > 0 && wall_ms > max_ms) {
     std::fprintf(stderr,
                  "bench_corpus_scale: wall clock %.0f ms exceeds budget "
@@ -110,7 +113,6 @@ int main(int argc, char** argv) {
                  wall_ms, max_ms);
     rc = 1;
   }
-  const double max_rss_mb = args.get_double("max-rss-mb", 0.0);
   if (max_rss_mb > 0 && peak_rss_mb > max_rss_mb) {
     std::fprintf(stderr,
                  "bench_corpus_scale: peak RSS %.1f MiB exceeds budget "

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 0xe7));
   const std::string csv_path = args.get_string("csv", "");
+  if (args.report_unknown("bench_general_machine")) return 2;
 
   struct MachineCase {
     const char* name;

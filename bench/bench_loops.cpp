@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   using namespace ais;
   const CliArgs args(argc, argv);
   const int random_trials = static_cast<int>(args.get_int("random", 8));
+  if (args.report_unknown("bench_loops")) return 2;
 
   std::printf("E8: loop kernels, steady-state cycles per iteration "
               "(anticipatory = §5.2.3 general case; block = rank over the "

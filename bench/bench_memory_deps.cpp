@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
 
   const CliArgs args(argc, argv);
   const int trials = static_cast<int>(args.get_int("trials", 30));
+  if (args.report_unknown("bench_memory_deps")) return 2;
 
   const MachineModel machine = deep_pipeline();
   const int windows[] = {2, 4};

@@ -160,6 +160,7 @@ int main(int argc, char** argv) {
   const int record_iters =
       static_cast<int>(args.get_int("record-iters", 1000000));
   const std::string json_path = args.get_string("json", "");
+  if (args.report_unknown("bench_obs")) return 2;
   const MachineModel& machine = *machine_preset("rs6000");
 
   // Fresh solves only: cache hits would make compile arms incomparable.

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 120));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 0xe9));
+  if (args.report_unknown("bench_optimality")) return 2;
 
   const MachineModel machine = scalar01();
 

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
 
   const CliArgs args(argc, argv);
   const int trials = static_cast<int>(args.get_int("trials", 30));
+  if (args.report_unknown("bench_renaming")) return 2;
 
   const MachineModel machine = deep_pipeline();
   const int windows[] = {1, 2, 4, 8};

@@ -366,6 +366,9 @@ int main(int argc, char** argv) {
       parse_counts(args.get_string("shards", "1,4,16,64"));
   const std::vector<std::size_t> sweep_clients =
       parse_counts(args.get_string("sweep-clients", ""));
+  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const std::string json_path = args.get_string("json", "");
+  if (args.report_unknown("bench_server")) return 2;
 
   // Body pool: `bodies` distinct traces; a request mix drawn uniformly from
   // it re-compiles every body requests/bodies times — the repeated-body
@@ -383,7 +386,7 @@ int main(int argc, char** argv) {
   options.socket_path =
       "/tmp/bench_server." + std::to_string(getpid()) + ".sock";
   options.tcp_addr = "127.0.0.1:0";
-  options.threads = static_cast<int>(args.get_int("threads", 0));
+  options.threads = threads;
   server::Server server(options);
   std::string error;
   if (!server.start(&error)) {
@@ -548,7 +551,6 @@ int main(int argc, char** argv) {
                 row.clients, row.shards, row.rps);
   }
 
-  const std::string json_path = args.get_string("json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out.is_open()) {

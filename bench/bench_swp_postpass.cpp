@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const int window = static_cast<int>(args.get_int("window", 1));
   const int random_trials = static_cast<int>(args.get_int("random", 8));
+  if (args.report_unknown("bench_swp_postpass")) return 2;
 
   std::printf("E12 / §2.4: software pipelining + AIS post-pass "
               "(steady-state cycles/iteration at W = %d)\n\n",

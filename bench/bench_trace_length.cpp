@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("seed", 0xe6));
   const std::string csv_path = args.get_string("csv", "");
   const int window = static_cast<int>(args.get_int("window", 4));
+  if (args.report_unknown("bench_trace_length")) return 2;
 
   const MachineModel machine = scalar01();
   const int lengths[] = {1, 2, 4, 8, 16, 32, 64};

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 0xe5));
   const std::string csv_path = args.get_string("csv", "");
+  if (args.report_unknown("bench_window_sweep")) return 2;
 
   const MachineModel machine = scalar01();
   const int windows[] = {1, 2, 4, 8, 16, 32};

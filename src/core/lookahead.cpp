@@ -82,7 +82,7 @@ class BlockPrescheduler {
   /// The warmed substrate of (non-empty) block `i`; blocks until the pool
   /// delivers it.  The returned reference is safe to use unlocked: once
   /// ready, no worker touches the slot again, so the consumer has exclusive
-  /// access until destruction.
+  /// access until destruction and may move the session out.
   Substrate& take(std::size_t i) AIS_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     while (!subs_[i].ready) cv_.wait(mu_);
@@ -226,12 +226,15 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
       const std::size_t emitted_before = out.order.size();
 
       Schedule merged(&g, NodeSet(g.num_nodes()), 1);
+      // The session that produced `merged`; Delay_Idle_Slots continues on
+      // it, so each step builds one topological order and closure.
+      std::unique_ptr<RankSession> session;
       if (opts.merge_deadline_caps) {
         MergeSeed seed;
         MergeSeed* seed_ptr = nullptr;
         if (presched.has_value()) {
           BlockPrescheduler::Substrate& sub = presched->take(block_index);
-          seed.session = sub.session.get();
+          seed.session = std::move(sub.session);
           seed.standalone = &*sub.standalone;
           seed.huge = huge;
           seed_ptr = &seed;
@@ -249,22 +252,25 @@ LookaheadResult schedule_trace(const RankScheduler& scheduler,
         }
         deadlines = std::move(m.deadlines);
         merged = std::move(m.schedule);
+        session = std::move(m.session);
       } else {
         // Ablation: schedule the whole live set fresh, no displacement
         // protection for old nodes.
-        const NodeSet cur = set_union(old, new_nodes);
+        session = std::make_unique<RankSession>(scheduler,
+                                                set_union(old, new_nodes));
         DeadlineMap flat = uniform_deadlines(g, huge);
-        RankResult r = scheduler.run(cur, flat, opts.rank);
+        RankResult r = session->run(flat, opts.rank);
         AIS_CHECK(r.feasible, "unconstrained schedule must be feasible");
-        for (const NodeId id : cur.ids()) flat[id] = r.makespan;
+        for (const NodeId id : session->active_ids()) flat[id] = r.makespan;
         deadlines = std::move(flat);
         merged = std::move(r.schedule);
       }
 
       if (opts.delay_idle) {
-        merged = delay_idle_slots(scheduler, std::move(merged), deadlines,
-                                  opts.rank);
+        merged =
+            delay_idle_slots(*session, std::move(merged), deadlines, opts.rank);
       }
+      session.reset();
       out.diag.merged_makespans.push_back(merged.makespan());
 
       if (opts.do_chop) {

@@ -1,6 +1,7 @@
 #include "core/merge.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -21,13 +22,15 @@ bool restricted_instance(const RankScheduler& scheduler) {
          g.max_exec_time() <= 1;
 }
 
-MergeResult make_result(RankResult result, DeadlineMap d_cur, Time relax) {
+MergeResult make_result(RankResult result, DeadlineMap d_cur, Time relax,
+                        std::unique_ptr<RankSession> session) {
   return MergeResult{
       .schedule = std::move(result.schedule),
       .makespan = result.makespan,
       .deadlines = std::move(d_cur),
       .rank = std::move(result.rank),
       .relax = relax,
+      .session = std::move(session),
   };
 }
 
@@ -72,15 +75,18 @@ MergeResult merge_blocks(const RankScheduler& scheduler,
   // With no old suffix the union *is* the new block and the warmed donor
   // session is adopted outright; otherwise the union session copies the
   // donor's closure rows and preseeds its first full pass with the donor's
-  // ranks, packing only the old nodes.
+  // ranks, packing only the old nodes.  The session is handed back with
+  // the result, so Delay_Idle_Slots continues on it.
   const bool adopt_donor = seed_usable && old_nodes.empty();
-  std::optional<RankSession> local_session;
-  if (!adopt_donor) {
-    local_session.emplace(scheduler, cur,
-                          seed_usable ? seed->session : nullptr);
-    if (seed_usable) local_session->seed_full_pass(*seed->session);
+  std::unique_ptr<RankSession> owned;
+  if (adopt_donor) {
+    owned = std::move(seed->session);
+  } else {
+    owned = std::make_unique<RankSession>(
+        scheduler, cur, seed_usable ? seed->session.get() : nullptr);
+    if (seed_usable) owned->seed_full_pass(*seed->session);
   }
-  RankSession& session = adopt_donor ? *seed->session : *local_session;
+  RankSession& session = *owned;
 
   // Lower-bound pass: one huge uniform deadline.  An adopted donor already
   // ran exactly this pass (possibly on a pool worker); reuse the result.
@@ -119,7 +125,10 @@ MergeResult merge_blocks(const RankScheduler& scheduler,
   apply_relax(0);
   {
     RankResult result = session.run(d_cur, opts);
-    if (result.feasible) return make_result(std::move(result), std::move(d_cur), 0);
+    if (result.feasible) {
+      return make_result(std::move(result), std::move(d_cur), 0,
+                         std::move(owned));
+    }
   }
 
   if (restricted_instance(scheduler) && new_only_limit >= 1) {
@@ -157,7 +166,8 @@ MergeResult merge_blocks(const RankScheduler& scheduler,
         }
       }
       apply_relax(hi);
-      return make_result(std::move(*best), std::move(d_cur), hi);
+      return make_result(std::move(*best), std::move(d_cur), hi,
+                         std::move(owned));
     }
     // Even the full new-only budget is infeasible (possible only when the
     // old caps clash with `deadlines` entries below t_old); continue with
@@ -170,7 +180,8 @@ MergeResult merge_blocks(const RankScheduler& scheduler,
       apply_relax(r);
       RankResult result = session.run(d_cur, opts);
       if (result.feasible) {
-        return make_result(std::move(result), std::move(d_cur), r);
+        return make_result(std::move(result), std::move(d_cur), r,
+                           std::move(owned));
       }
     }
   }
@@ -185,7 +196,8 @@ MergeResult merge_blocks(const RankScheduler& scheduler,
     apply_relax(r);
     RankResult result = session.run(d_cur, opts);
     if (result.feasible) {
-      return make_result(std::move(result), std::move(d_cur), r);
+      return make_result(std::move(result), std::move(d_cur), r,
+                         std::move(owned));
     }
   }
 }

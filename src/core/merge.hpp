@@ -17,6 +17,8 @@
 // docs/PERFORMANCE.md.
 #pragma once
 
+#include <memory>
+
 #include "core/deadlines.hpp"
 #include "core/rank.hpp"
 
@@ -33,6 +35,11 @@ struct MergeResult {
   /// Relaxation amount of the accepted schedule: new-node deadlines ended at
   /// t_lower + relax.  Minimal in the restricted case.
   Time relax = 0;
+  /// The session over old ∪ new that produced `schedule` — the seed's
+  /// session when it was adopted, else one built here.  Its rank cache
+  /// holds the last probe's deadlines, which may differ from `deadlines`;
+  /// Delay_Idle_Slots continues on it (see delay_idle_slots).
+  std::unique_ptr<RankSession> session;
 };
 
 /// Pre-scheduled substrate for the incoming block, produced ahead of time by
@@ -42,10 +49,12 @@ struct MergeResult {
 /// merge_blocks consumes it only when it can prove byte-identity with the
 /// unseeded path: `huge` must match merge's own lower-pass deadline and no
 /// distance-0 edge may run from a new node into `old_nodes` (otherwise the
-/// standalone ranks/closure rows would differ from the union's).  The
-/// session is mutated on consumption; a seed is good for one merge.
+/// standalone ranks/closure rows would differ from the union's).  With no
+/// old nodes the session is adopted outright: it moves into
+/// MergeResult::session.  Otherwise it is read as a closure and rank donor
+/// and stays here.  Either way a seed is good for one merge.
 struct MergeSeed {
-  RankSession* session = nullptr;
+  std::unique_ptr<RankSession> session;
   /// run() result of `session` under uniform `huge` deadlines with the
   /// same RankOptions the merge will use; moved from on adoption.
   RankResult* standalone = nullptr;

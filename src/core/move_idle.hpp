@@ -33,23 +33,36 @@ struct MoveIdleResult {
 
 /// Tries to delay the idle slot `slot` of `s`.  `deadlines` is updated in
 /// place: committed on success, untouched on failure.  `s` must be a
-/// feasible schedule for its active set under `deadlines`.
+/// feasible schedule for its active set under `deadlines`.  A one-shot
+/// attempt: it copies `s` once into the result, which Delay_Idle_Slots
+/// never does (its attempts edit the schedule in place).
 MoveIdleResult move_idle_slot(const RankScheduler& scheduler, const Schedule& s,
                               DeadlineMap& deadlines, IdleSlot slot,
                               const RankOptions& opts = {});
 
 /// Same, reusing a caller-owned session (its active set must equal
-/// s.active()).  Delay_Idle_Slots drives all its attempts through one
-/// session so topo order / closure are built once and rank updates stay
-/// incremental across slots.
+/// s.active()).  On failure the session's rank cache is restored to its
+/// state at the attempt's uncapped `deadlines`, so a following attempt
+/// behaves exactly as on a fresh session.
 MoveIdleResult move_idle_slot(RankSession& session, const Schedule& s,
                               DeadlineMap& deadlines, IdleSlot slot,
                               const RankOptions& opts = {});
 
 /// Delays every idle slot of `s` as late as possible, earliest slot first,
 /// re-trying each slot until it no longer moves (paper Fig. 6).  Returns the
-/// final schedule; `deadlines` accumulates all committed reductions.
+/// final schedule; `deadlines` accumulates all committed reductions.  Every
+/// attempt edits the schedule and deadlines in place and shares one session
+/// and one set of scratch buffers, so a failed attempt copies no schedule.
 Schedule delay_idle_slots(const RankScheduler& scheduler, Schedule s,
+                          DeadlineMap& deadlines, const RankOptions& opts = {});
+
+/// Same, continuing on a caller's session whose active set equals
+/// s.active() — Lookahead passes the session Merge produced `s` with, so
+/// the topological order and descendant closure are built once per step.
+/// The session may hold ranks for any deadlines, or none yet: the first
+/// attempt re-ranks from that state, with results identical to a fresh
+/// session.
+Schedule delay_idle_slots(RankSession& session, Schedule s,
                           DeadlineMap& deadlines, const RankOptions& opts = {});
 
 }  // namespace ais

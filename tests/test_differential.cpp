@@ -10,6 +10,7 @@
 // amounts exactly — not approximately.
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/chop.hpp"
 #include "core/deadlines.hpp"
 #include "core/lookahead.hpp"
 #include "core/merge.hpp"
@@ -721,48 +723,166 @@ TEST(Differential, ClosureMatrixMatchesPerRowBitsets) {
   }
 }
 
-/// delay_idle_slots drives move_idle_slot's speculative snapshot/restore
-/// machinery; its output must be independent of the session caching (the
-/// one-shot move_idle_slot overload constructs a fresh session per call).
-TEST(Differential, DelayIdleSlotsSessionIndependent) {
-  Prng prng(0xde1a);
-  RandomBlockParams params;
-  params.num_nodes = 28;
-  params.layers = 14;
-  params.edge_prob = 0.8;
-  params.max_latency = 3;
-  const DepGraph g = random_block(prng, params);
-  const MachineModel machine = deep_pipeline();
-  const RankScheduler scheduler(g, machine);
-  const NodeSet all = NodeSet::all(g.num_nodes());
-  DeadlineMap base = uniform_deadlines(g, huge_deadline(g, all));
-  const RankResult r = scheduler.run(all, base, {});
-  ASSERT_TRUE(r.feasible);
-  DeadlineMap d1 = base;
-  for (const NodeId id : all.ids()) d1[id] = r.makespan;
-  DeadlineMap d2 = d1;
-
-  // Sweep once through the shared-session driver...
-  Schedule via_driver = delay_idle_slots(scheduler, r.schedule, d1, {});
-
-  // ...and once slot-by-slot through fresh sessions.
-  Schedule s = r.schedule;
+/// The fresh-session oracle for Delay_Idle_Slots: the paper's Fig. 6 loop
+/// slot by slot through the one-shot move_idle_slot overload, which builds
+/// a new session (and copies the schedule) per attempt.
+Schedule fresh_session_sweep(const RankScheduler& scheduler, Schedule s,
+                             DeadlineMap& deadlines,
+                             const RankOptions& opts = {}) {
   std::size_t i = 0;
   while (true) {
     const auto& slots = s.idle_slots();
     if (i >= slots.size()) break;
     IdleSlot slot = slots[i];
     while (true) {
-      MoveIdleResult res = move_idle_slot(scheduler, s, d2, slot, {});
+      MoveIdleResult res = move_idle_slot(scheduler, s, deadlines, slot, opts);
       s = std::move(res.schedule);
       if (!res.moved || res.slot.time >= s.makespan()) break;
       slot = res.slot;
     }
     ++i;
   }
+  return s;
+}
 
-  expect_same_schedule(via_driver, s, all);
-  EXPECT_EQ(d1, d2);
+/// delay_idle_slots edits its schedule in place and drives every attempt
+/// through one session's speculative snapshot/restore machinery; its output
+/// must be independent of both, on every machine regime.
+TEST(Differential, DelayIdleSlotsSessionIndependent) {
+  struct Regime {
+    const char* name;
+    MachineModel machine;
+  };
+  const std::vector<Regime> regimes = {
+      {"scalar01", scalar01()},
+      {"rs6000", rs6000_like()},
+      {"vliw4", vliw4()},
+      {"deep", deep_pipeline()},
+  };
+  int delayed = 0;  // sweeps that committed a deadline reduction
+  for (const Regime& regime : regimes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Prng prng(0xde1a + seed * 977);
+      const int num_nodes = 20 + static_cast<int>(seed) * 4;
+      const DepGraph g = [&] {
+        if (regime.machine.num_fu_classes() > 1) {
+          return random_machine_block(prng, regime.machine, num_nodes, 0.25);
+        }
+        RandomBlockParams params;
+        params.num_nodes = num_nodes;
+        params.edge_prob = 0.4;
+        params.max_latency = regime.machine.is_restricted_case() ? 1 : 3;
+        return random_block(prng, params);
+      }();
+      const RankScheduler scheduler(g, regime.machine);
+      const NodeSet all = NodeSet::all(g.num_nodes());
+      // Any list schedule is a valid input under deadlines = its makespan.
+      // A random priority list, unlike the Rank schedule, leaves early idle
+      // slots that the sweep can move, so committed moves and failed
+      // attempts interleave on the shared session.
+      std::vector<NodeId> list = all.ids();
+      for (std::size_t i = list.size(); i > 1; --i) {
+        std::swap(list[i - 1],
+                  list[static_cast<std::size_t>(prng.uniform(
+                      0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      const Schedule start = scheduler.greedy_from_list(all, list);
+      const DeadlineMap base = uniform_deadlines(g, start.makespan());
+      DeadlineMap d1 = base;
+      DeadlineMap d2 = base;
+
+      const Schedule via_driver = delay_idle_slots(scheduler, start, d1, {});
+      const Schedule want = fresh_session_sweep(scheduler, start, d2);
+
+      SCOPED_TRACE(std::string(regime.name) + " seed " +
+                   std::to_string(seed));
+      expect_same_schedule(via_driver, want, all);
+      EXPECT_EQ(d1, d2);
+      if (d1 != base) ++delayed;
+    }
+  }
+  EXPECT_GE(delayed, 8) << "too few instances exercise a committed move";
+}
+
+/// Lookahead runs Delay_Idle_Slots on the session Merge hands back, whose
+/// rank cache holds the last relaxation probe's deadlines.  The sweep must
+/// equal one on a fresh session for every way Merge obtains that session:
+/// built unseeded (the serial path), built over a prescheduled substrate
+/// donor, and adopted outright from the donor (jobs > 1 with an empty
+/// suffix).  Each trace is driven step by step as Lookahead does
+/// (merge, delay, chop), every step checked against the oracle.
+TEST(Differential, DelayIdleSlotsOnMergeSessionMatchesFresh) {
+  struct Regime {
+    const char* name;
+    MachineModel machine;
+    int max_latency;
+  };
+  const std::vector<Regime> regimes = {
+      {"scalar01", scalar01(), 1},
+      {"deep", deep_pipeline(), 3},
+      {"vliw4", vliw4(), 2},
+  };
+  int delayed = 0;  // steps whose sweep committed a deadline reduction
+  int adopted = 0;  // steps on an adopted donor session
+  for (const Regime& regime : regimes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Prng prng(0x5e55 + seed * 31);
+      RandomTraceParams params;
+      params.num_blocks = 6;
+      params.block.num_nodes = 6 + static_cast<int>(seed) * 2;
+      params.block.edge_prob = 0.35;
+      params.block.max_latency = regime.max_latency;
+      const DepGraph g = random_trace(prng, params);
+      const RankScheduler scheduler(g, regime.machine);
+      const std::vector<NodeSet> blocks = blocks_of(g);
+      const Time huge = huge_deadline(g, NodeSet::all(g.num_nodes()));
+      for (const bool preschedule : {false, true}) {
+        NodeSet old(g.num_nodes());
+        DeadlineMap d = uniform_deadlines(g, huge);
+        Time t_old = 0;
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+          MergeSeed seed_state;
+          std::optional<RankResult> standalone;
+          if (preschedule) {
+            seed_state.session =
+                std::make_unique<RankSession>(scheduler, blocks[b]);
+            standalone =
+                seed_state.session->run(uniform_deadlines(g, huge), {});
+            seed_state.standalone = &*standalone;
+            seed_state.huge = huge;
+          }
+          const RankSession* donor = seed_state.session.get();
+          MergeResult m =
+              merge_blocks(scheduler, old, blocks[b], d, t_old, huge, {},
+                           preschedule ? &seed_state : nullptr);
+          ASSERT_NE(m.session, nullptr);
+          if (preschedule && old.empty()) {
+            EXPECT_EQ(m.session.get(), donor);
+            ++adopted;
+          }
+
+          DeadlineMap d2 = m.deadlines;
+          d = m.deadlines;
+          const Schedule got = delay_idle_slots(*m.session, m.schedule, d);
+          const Schedule want = fresh_session_sweep(scheduler, m.schedule, d2);
+          SCOPED_TRACE(std::string(regime.name) + " seed " +
+                       std::to_string(seed) + " block " + std::to_string(b) +
+                       (preschedule ? " prescheduled" : " serial"));
+          expect_same_schedule(got, want, set_union(old, blocks[b]));
+          ASSERT_EQ(d, d2);
+          if (d != m.deadlines) ++delayed;
+
+          ChopResult c = chop(got, d, /*window=*/4);
+          old = std::move(c.suffix);
+          t_old = c.suffix_makespan;
+        }
+      }
+    }
+  }
+  // Merge's schedules seldom leave an idle slot that can move later (most
+  // attempts fail and restore); these seeds include steps that commit.
+  EXPECT_GE(delayed, 2) << "too few steps exercise a committed move";
+  EXPECT_GE(adopted, 12) << "too few steps exercise an adopted session";
 }
 
 void expect_same_lookahead(const LookaheadResult& got,

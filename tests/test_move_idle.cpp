@@ -4,6 +4,7 @@
 #include "core/move_idle.hpp"
 #include "core/rank.hpp"
 #include "machine/machine_model.hpp"
+#include "obs/obs.hpp"
 #include "workloads/paper_graphs.hpp"
 #include "workloads/random_graphs.hpp"
 
@@ -61,6 +62,54 @@ TEST(MoveIdleSlot, FailureLeavesScheduleAndDeadlinesUntouched) {
   EXPECT_EQ(res.slot, slots[0]);
   EXPECT_EQ(fx.d, before);
   EXPECT_EQ(res.schedule.permutation(), delayed.permutation());
+}
+
+TEST(MoveIdleSlot, FailedAttemptLeavesSessionCacheUntouched) {
+  Fig1Setup fx;
+  const DeadlineMap base = fx.d;
+  DeadlineMap d = fx.d;
+  const Schedule delayed =
+      delay_idle_slots(fx.scheduler, fx.schedule, d, fx.opts);
+  ASSERT_EQ(delayed.idle_slots().size(), 1u);
+  const IdleSlot last = delayed.idle_slots()[0];  // t=5: cannot move
+  const DeadlineMap before = d;
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  RankSession session(fx.scheduler, fx.all);
+  const MoveIdleResult failed =
+      move_idle_slot(session, delayed, d, last, fx.opts);
+  EXPECT_FALSE(failed.moved);
+  EXPECT_EQ(failed.slot, last);
+  EXPECT_EQ(d, before);
+  EXPECT_EQ(failed.schedule.permutation(), delayed.permutation());
+  for (const NodeId id : fx.all.ids()) {
+    EXPECT_EQ(failed.schedule.start(id), delayed.start(id));
+    EXPECT_EQ(failed.schedule.unit_of(id), delayed.unit_of(id));
+  }
+
+  // The rank cache is back at the attempt's uncapped deadlines: ranking
+  // them again needs no incremental pass, and matches a fresh session.
+  const std::uint64_t passes =
+      obs::counter_value(obs::ctr::kRankIncrementalPasses);
+  const std::vector<Time> ranks = session.compute_ranks(d, fx.opts);
+  EXPECT_EQ(obs::counter_value(obs::ctr::kRankIncrementalPasses), passes);
+  obs::set_enabled(was_enabled);
+  RankSession fresh(fx.scheduler, fx.all);
+  EXPECT_EQ(ranks, fresh.compute_ranks(d, fx.opts));
+
+  // The next attempt on the same session equals one on a fresh session.
+  DeadlineMap d_shared = base;
+  DeadlineMap d_fresh = base;
+  const MoveIdleResult shared = move_idle_slot(
+      session, fx.schedule, d_shared, IdleSlot{0, 2}, fx.opts);
+  const MoveIdleResult alone = move_idle_slot(
+      fx.scheduler, fx.schedule, d_fresh, IdleSlot{0, 2}, fx.opts);
+  EXPECT_TRUE(shared.moved);
+  EXPECT_EQ(shared.moved, alone.moved);
+  EXPECT_EQ(shared.slot, alone.slot);
+  EXPECT_EQ(shared.schedule.permutation(), alone.schedule.permutation());
+  EXPECT_EQ(d_shared, d_fresh);
 }
 
 TEST(DelayIdleSlots, Fig1FullDelayReachesT5) {

@@ -456,9 +456,10 @@ TEST(Aisd, RejectsUnknownFlags) {
   EXPECT_FALSE(path_exists(sock)) << "aisd must not start serving";
 }
 
-/// The other tools reject a flag they do not know too, instead of running
-/// with its default: usage-error exit, the flag named on stderr, and no
-/// work done (nothing on stdout).
+/// The other tools, and the bench binaries (bench_corpus_scale stands for
+/// them), reject a flag they do not know too, instead of running with its
+/// default: usage-error exit, the flag named on stderr, and no work done
+/// (nothing on stdout).
 TEST(Tools, RejectUnknownFlags) {
   const std::string example =
       std::string(AIS_EXAMPLES_DIR) + "/two_block_trace.s";
@@ -474,6 +475,7 @@ TEST(Tools, RejectUnknownFlags) {
       {std::string(AISPROF_BINARY) + " --in " + example + " --jobz 4", 2},
       {std::string(AISPROF_BINARY) + " --random-traces 2 --jobz 4", 2},
       {std::string(AISLOAD_BINARY) + " --socket " + sock + " --jobz 4", 1},
+      {std::string(BENCH_CORPUS_SCALE_BINARY) + " --blocks 200 --jobz 2", 2},
   };
   for (const Case& c : cases) {
     std::string out;
